@@ -11,7 +11,9 @@
 //! hydrating at most `DEFAULT_HYDRATION_CAP` concurrent `System`s.
 
 use criterion::{criterion_group, criterion_main, report_metric, Criterion};
-use vgrid_grid::{CampaignSpec, ChurnConfig, DeployConfig, GridReport, PoolConfig, ProjectConfig};
+use vgrid_grid::{
+    CampaignSpec, ChurnConfig, DeployConfig, GridReport, PoolConfig, ProjectConfig, RunOptions,
+};
 use vgrid_simcore::{SimDuration, SimTime};
 use vgrid_vmm::VmmProfile;
 
@@ -87,7 +89,7 @@ fn run(s: &Scenario) -> GridReport {
         .horizon(SimTime::from_secs(s.days * 24 * 3600))
         .build()
         .expect("valid scale scenario")
-        .run()
+        .run_with(&RunOptions::default())
         .reports()[0]
         .clone()
 }

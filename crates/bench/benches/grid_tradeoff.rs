@@ -9,7 +9,8 @@ use criterion::{criterion_group, criterion_main, report_metric, Criterion};
 use vgrid_bench::bench_figure;
 use vgrid_core::{experiments, Fidelity};
 use vgrid_grid::{
-    CampaignSpec, ChurnConfig, DeployConfig, GridReport, MigrationPolicy, PoolConfig, ProjectConfig,
+    CampaignSpec, ChurnConfig, DeployConfig, GridReport, MigrationPolicy, PoolConfig,
+    ProjectConfig, RunOptions,
 };
 use vgrid_simcore::{SimDuration, SimTime};
 use vgrid_vmm::VmmProfile;
@@ -35,7 +36,7 @@ fn migration_campaign(policy: MigrationPolicy) -> GridReport {
         .horizon(SimTime::from_secs(10 * 24 * 3600))
         .build()
         .expect("valid migration scenario")
-        .run()
+        .run_with(&RunOptions::default())
         .reports()[0]
         .clone()
 }

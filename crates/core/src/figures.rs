@@ -199,6 +199,8 @@ pub mod json {
     use std::collections::BTreeMap;
     use std::fmt;
 
+    pub use vgrid_simobs::json::{number, string};
+
     /// Error raised when a document cannot be parsed as a figure.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct ParseError(pub String);
@@ -213,40 +215,6 @@ pub mod json {
 
     fn err<T>(msg: impl Into<String>) -> Result<T, ParseError> {
         Err(ParseError(msg.into()))
-    }
-
-    /// Escape and quote a string.
-    pub fn string(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-        out
-    }
-
-    /// Format a finite f64 so it round-trips exactly.
-    pub fn number(v: f64) -> String {
-        if v.is_finite() {
-            let short = format!("{v}");
-            if short.parse::<f64>() == Ok(v) {
-                short
-            } else {
-                format!("{v:e}")
-            }
-        } else {
-            // JSON has no Inf/NaN; null is the conventional stand-in.
-            "null".to_string()
-        }
     }
 
     /// A parsed JSON value.

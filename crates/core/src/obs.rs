@@ -19,7 +19,7 @@
 
 use std::sync::Mutex;
 
-use crate::engine::DEFAULT_BASE_SEED;
+use crate::engine::{Engine, DEFAULT_BASE_SEED};
 use crate::experiments;
 use crate::figures::FigureResult;
 use crate::testbed::Fidelity;
@@ -173,8 +173,8 @@ fn fidelity_name(fidelity: Fidelity) -> &'static str {
     }
 }
 
-fn scheduler_mode_name() -> &'static str {
-    if vgrid_os::per_quantum_reference_forced() {
+fn scheduler_mode_name(engine: &Engine) -> &'static str {
+    if engine.options().per_quantum_reference() {
         "per-quantum-reference"
     } else {
         "coalesced"
@@ -196,14 +196,19 @@ fn bench_links(id: &str) -> Vec<String> {
     links.iter().map(|s| s.to_string()).collect()
 }
 
-/// Run an experiment by id with observation enabled; returns the figure
-/// plus rendered manifest and trace documents, or `None` for an unknown
-/// id. Output is a pure function of `(id, fidelity, scheduler mode,
-/// engine cache state)`; a fresh process renders byte-identical
-/// documents for the same invocation.
+/// Run an experiment by id with observation enabled on the process-wide
+/// engine; returns the figure plus rendered manifest and trace
+/// documents, or `None` for an unknown id.
 pub fn run_observed(id: &str, fidelity: Fidelity) -> Option<ObservedRun> {
+    run_observed_with(Engine::global(), id, fidelity)
+}
+
+/// [`run_observed`] on an explicit engine. Output is a pure function of
+/// `(id, fidelity, engine options, engine cache state)`; a fresh
+/// process renders byte-identical documents for the same invocation.
+pub fn run_observed_with(engine: &Engine, id: &str, fidelity: Fidelity) -> Option<ObservedRun> {
     begin_capture();
-    let figure = experiments::run_by_id(id, fidelity);
+    let figure = experiments::run_by_id_with(engine, id, fidelity);
     let cap = take_capture().unwrap_or_default();
     let figure = figure?;
 
@@ -250,7 +255,7 @@ pub fn run_observed(id: &str, fidelity: Fidelity) -> Option<ObservedRun> {
     let manifest = RunManifest {
         experiment: id.to_string(),
         fidelity: fidelity_name(fidelity).to_string(),
-        scheduler_mode: scheduler_mode_name().to_string(),
+        scheduler_mode: scheduler_mode_name(engine).to_string(),
         seed: DEFAULT_BASE_SEED,
         config_digest: config_digest(&cap.trial_keys),
         trials: cap.trial_labels,

@@ -18,7 +18,7 @@
 //! itself is always evaluated in the exact operation order of the
 //! pre-archetype simulator — `speed / vm_factor * (1.0 -
 //! ckpt_frac).max(0.05)` — so a memo hit can never move a bit relative
-//! to the `--hydrated-reference` substrate, which calls
+//! to the hydrated-reference substrate, which calls
 //! [`solve_direct`] and recomputes the dilation from scratch.
 
 use crate::checkpoint::write_overhead_frac;
@@ -183,22 +183,9 @@ pub fn memoized_vm_cpu_factor(mode: &ExecutionMode) -> f64 {
 }
 
 /// Solve an archetype's segment constants, memoizing the expensive
-/// machine-model dilation per deploy mode (the batched substrate).
-/// With fast-forward enabled the whole solution — dilation *and*
-/// checkpoint fraction — comes from the process-wide segment-solution
-/// cache (keyed per contention-steady configuration); the kill switch
-/// falls back to the per-mode dilation memo alone.
+/// machine-model dilation per deploy mode (the batched substrate). The
+/// checkpoint fraction is a closed form and is computed fresh.
 pub fn solve(deploy: &DeployConfig) -> SegmentSolution {
-    solve_with(deploy, crate::fastforward::enabled())
-}
-
-/// [`solve`] with the fast-forward switch threaded as a value instead
-/// of read from the process global, so concurrent runs can differ in
-/// mode (`RunOptions::fastforward`).
-pub fn solve_with(deploy: &DeployConfig, fastforward: bool) -> SegmentSolution {
-    if fastforward {
-        return crate::fastforward::segment_solution(deploy);
-    }
     SegmentSolution {
         vm_factor: memoized_vm_cpu_factor(&deploy.mode),
         ckpt_frac: write_overhead_frac(checkpoint_state_bytes(deploy), deploy.checkpoint_interval),
@@ -206,8 +193,8 @@ pub fn solve_with(deploy: &DeployConfig, fastforward: bool) -> SegmentSolution {
 }
 
 /// Reference solver: recompute the dilation from scratch, bypassing the
-/// memo (the `--hydrated-reference` substrate), so memoization itself
-/// sits under the equivalence tests.
+/// memo (the hydrated-reference substrate), so memoization itself sits
+/// under the equivalence tests.
 pub fn solve_direct(deploy: &DeployConfig) -> SegmentSolution {
     SegmentSolution {
         vm_factor: crate::sim::vm_cpu_factor(&deploy.mode),

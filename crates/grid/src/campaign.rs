@@ -4,12 +4,13 @@
 //! campaigns and machine-level trials read the same way: a builder
 //! assembles the configuration, `build()` validates it into a
 //! [`Campaign`] (returning [`Error`] instead of panicking mid-run), and
-//! `run()` executes the repetitions — in parallel, with the same seeds
-//! and fold order as `run_seq()` — into a [`CampaignResult`] whose
-//! `metric(name)` / `metric_names()` accessors match `TrialResult`.
+//! `run_with(&options)` executes the repetitions — in parallel, with the
+//! same seeds and fold order as `run_seq_with` — into a
+//! [`CampaignResult`] whose `metric(name)` / `metric_names()` accessors
+//! match `TrialResult`.
 //!
 //! ```
-//! use vgrid_grid::{CampaignSpec, ChurnConfig, PoolConfig, ProjectConfig};
+//! use vgrid_grid::{CampaignSpec, ChurnConfig, PoolConfig, ProjectConfig, RunOptions};
 //!
 //! let result = CampaignSpec::new("demo")
 //!     .project(ProjectConfig { workunits: 10, wu_ref_secs: 600.0, ..Default::default() })
@@ -18,16 +19,15 @@
 //!     .repetitions(2)
 //!     .build()
 //!     .expect("valid spec")
-//!     .run();
+//!     .run_with(&RunOptions::default());
 //! assert!(result.metric("goodput").mean >= 0.0);
 //! ```
 
-use crate::checkpoint::write_overhead_frac;
 use crate::error::Error;
 use crate::faults::ChurnConfig;
-use crate::model::{DeployConfig, ExecutionMode, GridReport, PoolConfig, ProjectConfig};
+use crate::model::{DeployConfig, GridReport, PoolConfig, ProjectConfig};
 use crate::options::RunOptions;
-use crate::sim::{run_campaign_substrate, vm_cpu_factor, SubstrateMode};
+use crate::sim::run_campaign_substrate;
 use vgrid_simcore::{OnlineStats, RepetitionRunner, SimTime, Summary};
 
 /// Base seed used when the spec does not set one; matches the engine's
@@ -100,11 +100,6 @@ pub struct CampaignSpec {
     pub repetitions: u32,
     /// Simulated-time horizon.
     pub horizon: SimTime,
-    /// Run on the reference substrate (flat event queue, unmemoized
-    /// solver) instead of the archetype-batched default. Bit-identical
-    /// results by contract — this flag exists so that contract can be
-    /// tested.
-    pub hydrated_reference: bool,
 }
 
 impl CampaignSpec {
@@ -120,7 +115,6 @@ impl CampaignSpec {
             seed: DEFAULT_SEED,
             repetitions: 1,
             horizon: SimTime::from_secs(30 * 24 * 3600),
-            hydrated_reference: false,
         }
     }
 
@@ -163,13 +157,6 @@ impl CampaignSpec {
     /// Set the simulated-time horizon.
     pub fn horizon(mut self, horizon: SimTime) -> Self {
         self.horizon = horizon;
-        self
-    }
-
-    /// Run on the reference substrate (see the field doc). The grid
-    /// twin of the engine's `--per-quantum-reference`.
-    pub fn hydrated_reference(mut self, on: bool) -> Self {
-        self.hydrated_reference = on;
         self
     }
 
@@ -243,20 +230,9 @@ impl CampaignSpec {
 
         // The fastest possible host must be able to compute a work unit
         // inside the reissue deadline, or every copy expires forever.
-        // The memoized factor is bit-identical to the direct one (the
-        // memo caches solver inputs only), so validation agrees with
-        // the simulation regardless of the fast-forward switch.
-        let vm_factor = if crate::fastforward::enabled() {
-            crate::archetype::memoized_vm_cpu_factor(&self.deploy.mode)
-        } else {
-            vm_cpu_factor(&self.deploy.mode)
-        };
-        let state_bytes = match &self.deploy.mode {
-            ExecutionMode::Native => self.deploy.native_checkpoint_bytes,
-            ExecutionMode::Vm(vmm) => vmm.guest_ram,
-        };
-        let ckpt_frac = write_overhead_frac(state_bytes, self.deploy.checkpoint_interval);
-        let best_rate = pool.speed_range.1 / vm_factor * (1.0 - ckpt_frac).max(0.05);
+        // The memoized solve is bit-identical to the direct one, so
+        // validation agrees with the simulation on every substrate.
+        let best_rate = crate::archetype::solve(&self.deploy).rate(pool.speed_range.1);
         let needed_secs = p.wu_ref_secs / best_rate;
         let deadline_secs = p.deadline.as_secs_f64();
         if deadline_secs < needed_secs {
@@ -304,11 +280,6 @@ impl Campaign {
     }
 
     fn run_rep(&self, rep: u32, options: &RunOptions) -> GridReport {
-        let substrate = if self.spec.hydrated_reference {
-            SubstrateMode::HydratedReference
-        } else {
-            options.substrate
-        };
         run_campaign_substrate(
             &self.spec.project,
             &self.spec.pool,
@@ -316,27 +287,13 @@ impl Campaign {
             &self.spec.churn,
             self.seed_for(rep),
             self.spec.horizon,
-            substrate,
-            options.fastforward,
+            options,
         )
     }
 
-    /// Run all repetitions on scoped threads; statistics fold in
-    /// repetition order, so the result is bit-identical to
-    /// [`Campaign::run_seq`]. Deprecated-shim entry point: snapshots
-    /// the process-global mode toggles into a [`RunOptions`].
-    pub fn run(&self) -> CampaignResult {
-        self.run_with(&RunOptions::from_globals())
-    }
-
-    /// Run all repetitions on the calling thread, with the mode
-    /// switches taken from the process globals.
-    pub fn run_seq(&self) -> CampaignResult {
-        self.run_seq_with(&RunOptions::from_globals())
-    }
-
-    /// Run all repetitions on scoped threads under explicit typed
-    /// options — the entry point concurrent server requests use, so
+    /// Run all repetitions on scoped threads under explicit execution
+    /// options; statistics fold in repetition order, so the result is
+    /// bit-identical to [`Campaign::run_seq_with`]. Concurrent server
     /// requests can differ in mode without touching process state.
     pub fn run_with(&self, options: &RunOptions) -> CampaignResult {
         let reps = self.spec.repetitions.max(1);
@@ -418,6 +375,7 @@ impl CampaignResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::SubstrateMode;
     use vgrid_simcore::SimDuration;
     use vgrid_vmm::VmmProfile;
 
@@ -474,7 +432,10 @@ mod tests {
 
     #[test]
     fn result_mirrors_trial_result_accessors() {
-        let result = quick_spec().build().unwrap().run();
+        let result = quick_spec()
+            .build()
+            .unwrap()
+            .run_with(&RunOptions::default());
         assert_eq!(result.metric_names(), METRIC_NAMES);
         assert_eq!(
             result.metric("validated_wus").mean,
@@ -491,8 +452,8 @@ mod tests {
             .repetitions(4)
             .build()
             .unwrap();
-        let par = campaign.run();
-        let seq = campaign.run_seq();
+        let par = campaign.run_with(&RunOptions::default());
+        let seq = campaign.run_seq_with(&RunOptions::default());
         for name in METRIC_NAMES {
             let (a, b) = (par.metric(name), seq.metric(name));
             assert_eq!(a.mean.to_bits(), b.mean.to_bits(), "{name}");
@@ -506,7 +467,13 @@ mod tests {
         // public builder path with churn left at its default runs the
         // exact zero-churn simulator.
         let spec = quick_spec().seed(9);
-        let via_campaign = spec.clone().build().unwrap().run().reports()[0].clone();
+        let via_campaign = spec
+            .clone()
+            .build()
+            .unwrap()
+            .run_with(&RunOptions::default())
+            .reports()[0]
+            .clone();
         let direct = run_campaign_substrate(
             &spec.project,
             &spec.pool,
@@ -514,8 +481,7 @@ mod tests {
             &ChurnConfig::off(),
             9,
             spec.horizon,
-            SubstrateMode::Batched,
-            true,
+            &RunOptions::default(),
         );
         assert_eq!(via_campaign, direct);
     }
@@ -523,9 +489,13 @@ mod tests {
     #[test]
     fn hydrated_reference_spec_is_bit_identical() {
         let spec = quick_spec().churn(ChurnConfig::intensity(1.0)).seed(17);
-        let batched = spec.clone().build().unwrap().run();
-        let reference = spec.hydrated_reference(true).build().unwrap().run();
+        let campaign = spec.build().unwrap();
+        let batched = campaign.run_with(&RunOptions::default());
+        let reference =
+            campaign.run_with(&RunOptions::default().substrate(SubstrateMode::HydratedReference));
+        let uncached = campaign.run_with(&RunOptions::default().fastforward(false));
         assert_eq!(batched.reports(), reference.reports());
+        assert_eq!(batched.reports(), uncached.reports());
     }
 
     #[test]

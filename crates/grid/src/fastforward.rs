@@ -3,16 +3,12 @@
 //!
 //! The paper's figures are parameter sweeps (VMM × workload ×
 //! checkpoint interval × churn), and neighbouring sweep points re-run
-//! near-identical trajectories. This module holds the three process-wide
-//! reuse layers the sweep hot loop leans on (DESIGN.md §13):
+//! near-identical trajectories. This module holds the process-wide reuse
+//! layers the sweep hot loop leans on (DESIGN.md §13); the per-mode
+//! `vm_cpu_factor` memo lives in [`crate::archetype`]:
 //!
-//! 1. **Segment-solution cache** — generalizes the per-mode
-//!    `vm_cpu_factor` memo of [`crate::archetype`] to the full
-//!    contention-steady segment identity (deploy mode × checkpoint
-//!    state × interval), mirroring `machine`'s `ContentionCache` keying
-//!    discipline. The cache stores solver *inputs* only; the per-host
-//!    rate is still evaluated in the exact legacy operation order, so a
-//!    hit can never move a bit.
+//! 1. **Probe-dilation cache** — the hydration probes' machine-model
+//!    measurement per deploy mode, a pure function of the mode.
 //! 2. **Trajectory cache** — a completed campaign's loop-exit state is
 //!    snapshotted per full configuration key (project, pool, deploy,
 //!    churn, seed — everything *except* the horizon, the one divergence
@@ -26,8 +22,8 @@
 //!    allocations per trial.
 //!
 //! Everything here is behaviour-transparent by contract: the
-//! `--hydrated-reference` substrate and the `--no-fastforward` kill
-//! switch bypass every cache, and the equivalence suites plus
+//! hydrated-reference substrate and `RunOptions::fastforward(false)`
+//! bypass every cache, and the equivalence suites plus
 //! `bench.sh --check` pin the fast path bit-identical to both.
 
 use crate::faults::ChurnConfig;
@@ -35,7 +31,7 @@ use crate::model::{DeployConfig, ExecutionMode, PoolConfig, ProjectConfig};
 use crate::sim::{CampaignCheckpoint, HostSlot, TaskCopy, Work};
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use vgrid_machine::ops::OpBlock;
 use vgrid_simcore::{DetMap, SimTime};
@@ -55,20 +51,6 @@ const TRAJECTORY_HORIZON_CAP: usize = 4;
 /// checkpoint would cost more memory than the replay it saves.
 const TRAJECTORY_MAX_HOSTS: usize = 20_000;
 
-static FORCE_NO_FASTFORWARD: AtomicBool = AtomicBool::new(false);
-
-/// Disable every fast-forward layer for subsequent campaigns — the
-/// `--no-fastforward` CLI flag and the bench harness's "off" arm. The
-/// grid twin of `vgrid_os::force_per_quantum_reference`.
-pub fn force_no_fastforward(on: bool) {
-    FORCE_NO_FASTFORWARD.store(on, Ordering::SeqCst);
-}
-
-/// Whether the fast-forward layers are active (the default).
-pub fn enabled() -> bool {
-    !FORCE_NO_FASTFORWARD.load(Ordering::SeqCst)
-}
-
 static SEGMENT_HITS: AtomicU64 = AtomicU64::new(0);
 static SEGMENT_MISSES: AtomicU64 = AtomicU64::new(0);
 static TRAJECTORY_HITS: AtomicU64 = AtomicU64::new(0);
@@ -78,9 +60,9 @@ static TRAJECTORY_MISSES: AtomicU64 = AtomicU64::new(0);
 /// `simobs::MetricsRegistry` by observed runs (delta over the capture).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FastForwardStats {
-    /// Segment-solution + probe-measurement cache hits.
+    /// Probe-dilation cache hits.
     pub segment_hits: u64,
-    /// Segment-solution + probe-measurement cache misses (cold solves).
+    /// Probe-dilation cache misses (cold measurements).
     pub segment_misses: u64,
     /// Campaigns resumed from a stored prefix trajectory.
     pub trajectory_hits: u64,
@@ -99,78 +81,16 @@ pub fn stats() -> FastForwardStats {
 }
 
 // ---------------------------------------------------------------------
-// Segment-solution cache (cross-sweep, process-wide).
+// Probe-dilation cache (cross-sweep, process-wide).
 // ---------------------------------------------------------------------
 
 static SCIENCE_BLOCK: OnceLock<OpBlock> = OnceLock::new();
 
 /// The Einstein surrogate instruction block, cached process-wide: a
 /// pure constant (fixed kernel, fixed seed), so the cached clone is
-/// bit-identical to a fresh construction. The kill switch bypasses the
-/// cache so the "off" arm prices the legacy construction cost.
+/// bit-identical to a fresh construction.
 pub(crate) fn science_block_cached() -> OpBlock {
-    if !enabled() {
-        return crate::sim::science_block();
-    }
     SCIENCE_BLOCK.get_or_init(crate::sim::science_block).clone()
-}
-
-/// Canonical identity of a contention-steady segment: the deploy mode's
-/// full solver key (FNV-digested, like the engine's `TrialKey`) plus
-/// the checkpoint state/interval that shape the write-overhead
-/// fraction. Mirrors `machine::ContentionCache`'s keying (runnable-set
-/// ≘ the steady single-task segment, mode, and — at the consumer — the
-/// host's speed band, which scales the rate outside the cached
-/// constants).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct SegmentKey {
-    /// FNV-1a digest of [`crate::archetype::solver_key`] for the mode.
-    solver: u64,
-    /// Checkpoint state size in bytes (zero when checkpointing is off).
-    ckpt_bytes: u64,
-    /// Checkpoint interval in integer picoseconds.
-    interval_ps: u64,
-}
-
-fn segment_key(deploy: &DeployConfig) -> SegmentKey {
-    SegmentKey {
-        solver: fnv1a64(crate::archetype::solver_key(&deploy.mode).as_bytes()),
-        ckpt_bytes: crate::archetype::checkpoint_state_bytes(deploy),
-        interval_ps: deploy.checkpoint_interval.as_picos(),
-    }
-}
-
-static SEGMENT_MEMO: Mutex<Option<DetMap<SegmentKey, crate::archetype::SegmentSolution>>> =
-    Mutex::new(None);
-
-/// Segment solution for a deploy config behind the process-wide cache.
-/// Stores solver *inputs* only (DESIGN.md §12/§13); both fields are pure
-/// functions of the deploy config, so hits are bit-identical in any
-/// call order.
-pub(crate) fn segment_solution(deploy: &DeployConfig) -> crate::archetype::SegmentSolution {
-    let key = segment_key(deploy);
-    {
-        let mut guard = SEGMENT_MEMO
-            .lock()
-            .expect("grid::fastforward::SEGMENT_MEMO poisoned");
-        if let Some(&solution) = guard.get_or_insert_with(DetMap::new).get(&key) {
-            SEGMENT_HITS.fetch_add(1, Ordering::Relaxed);
-            return solution;
-        }
-    }
-    SEGMENT_MISSES.fetch_add(1, Ordering::Relaxed);
-    let solution = crate::archetype::SegmentSolution {
-        vm_factor: crate::archetype::memoized_vm_cpu_factor(&deploy.mode),
-        ckpt_frac: crate::checkpoint::write_overhead_frac(
-            crate::archetype::checkpoint_state_bytes(deploy),
-            deploy.checkpoint_interval,
-        ),
-    };
-    let mut guard = SEGMENT_MEMO
-        .lock()
-        .expect("grid::fastforward::SEGMENT_MEMO poisoned");
-    guard.get_or_insert_with(DetMap::new).insert(key, solution);
-    solution
 }
 
 /// FNV-1a digest of a mode's [`crate::archetype::solver_key`], keying
@@ -183,10 +103,12 @@ static MEASURED_DILATION: Mutex<Option<DetMap<DilationKey, f64>>> = Mutex::new(N
 /// Hydration-probe dilation for a mode behind the process-wide cache:
 /// the measurement is a pure function of the mode (fixed probe seed),
 /// so a hit returns the bit-identical ratio the reference substrate
-/// measures from scratch. Only the batched substrate consults this —
-/// the per-campaign hydration memo bookkeeping (and therefore
-/// `HydrationStats`) is untouched.
-pub(crate) fn measured_dilation(mode: &ExecutionMode) -> f64 {
+/// measures from scratch (in either scheduler mode, which is
+/// bit-identical by the `vgrid-os` contract). Only the batched
+/// substrate consults this — the per-campaign hydration memo
+/// bookkeeping (and therefore `HydrationStats`) is untouched; a miss
+/// measures on probe systems built with `coalesce`.
+pub(crate) fn measured_dilation(mode: &ExecutionMode, coalesce: bool) -> f64 {
     let key = DilationKey(fnv1a64(crate::archetype::solver_key(mode).as_bytes()));
     {
         let mut guard = MEASURED_DILATION
@@ -198,7 +120,7 @@ pub(crate) fn measured_dilation(mode: &ExecutionMode) -> f64 {
         }
     }
     SEGMENT_MISSES.fetch_add(1, Ordering::Relaxed);
-    let factor = crate::hydrate::measure_dilation_direct(mode);
+    let factor = crate::hydrate::measure_dilation_direct(mode, coalesce);
     let mut guard = MEASURED_DILATION
         .lock()
         .expect("grid::fastforward::MEASURED_DILATION poisoned");
@@ -335,7 +257,7 @@ impl WorkQueue {
     }
 
     /// Eager queue: the legacy setup loop, materializing and issuing
-    /// every copy up front (reference substrate / kill switch).
+    /// every copy up front (reference substrate / fast-forward off).
     pub(crate) fn eager(
         project: &ProjectConfig,
         copies: &mut Vec<TaskCopy>,
@@ -442,16 +364,12 @@ pub(crate) fn arena_put(mut arena: CampaignArena) {
 /// calling thread's arena) so a test can force a provably cold state.
 /// Locks are taken one at a time in rank order, never nested.
 pub fn reset_all() {
-    *SEGMENT_MEMO
-        .lock()
-        .expect("grid::fastforward::SEGMENT_MEMO poisoned") = None;
     *MEASURED_DILATION
         .lock()
         .expect("grid::fastforward::MEASURED_DILATION poisoned") = None;
     *TRAJECTORIES
         .lock()
         .expect("grid::fastforward::TRAJECTORIES poisoned") = None;
-    crate::migration::reset_transfer_memo();
     SEGMENT_HITS.store(0, Ordering::SeqCst);
     SEGMENT_MISSES.store(0, Ordering::SeqCst);
     TRAJECTORY_HITS.store(0, Ordering::SeqCst);
@@ -463,63 +381,32 @@ pub fn reset_all() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::archetype;
-    use crate::model::DeployConfig;
     use vgrid_vmm::VmmProfile;
 
     #[test]
-    fn segment_cache_matches_direct_solve_bitwise() {
-        for deploy in [
-            DeployConfig::native(),
-            DeployConfig::vm(VmmProfile::qemu(), 300 << 20),
-        ] {
-            let direct = archetype::solve_direct(&deploy);
-            // Cold miss then warm hit must both agree with the
-            // from-scratch reference solve.
-            for _ in 0..2 {
-                let cached = segment_solution(&deploy);
-                assert_eq!(cached.vm_factor.to_bits(), direct.vm_factor.to_bits());
-                assert_eq!(cached.ckpt_frac.to_bits(), direct.ckpt_frac.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn segment_key_separates_checkpoint_config() {
-        let vm = DeployConfig::vm(VmmProfile::qemu(), 300 << 20);
-        let mut no_ckpt = vm.clone();
-        no_ckpt.checkpoint_interval = vgrid_simcore::SimDuration::ZERO;
-        assert_ne!(segment_key(&vm), segment_key(&no_ckpt));
-        assert_ne!(segment_key(&vm), segment_key(&DeployConfig::native()));
-        // The checkpoint axes stay plain integers (not digested), so
-        // the key separates them even under solver-digest equality.
-        assert_eq!(segment_key(&vm).solver, segment_key(&no_ckpt).solver);
-        assert_eq!(segment_key(&no_ckpt).interval_ps, 0);
-    }
-
-    #[test]
     fn reset_all_restores_a_cold_cache() {
-        // Memory size unique to this test so sibling tests running in
-        // parallel never insert the same key into the shared memo.
-        let deploy = DeployConfig::vm(VmmProfile::qemu(), 123 << 20);
-        let warm = segment_solution(&deploy);
+        // A profile variant unique to this test so sibling tests running
+        // in parallel never insert the same key into the shared memo.
+        let mut profile = VmmProfile::qemu();
+        profile.guest_ram = 123 << 20;
+        let mode = ExecutionMode::Vm(profile);
+        let warm = measured_dilation(&mode, true);
         reset_all();
         let before = stats();
-        // The post-reset lookup must re-solve (cold miss) and still
-        // land bit-identical to the pre-reset solution.
-        let cold = segment_solution(&deploy);
+        // The post-reset lookup must re-measure (cold miss) and still
+        // land bit-identical to the pre-reset measurement.
+        let cold = measured_dilation(&mode, true);
         let after = stats();
         assert!(after.segment_misses > before.segment_misses);
-        assert_eq!(cold.vm_factor.to_bits(), warm.vm_factor.to_bits());
-        assert_eq!(cold.ckpt_frac.to_bits(), warm.ckpt_frac.to_bits());
+        assert_eq!(cold.to_bits(), warm.to_bits());
     }
 
     #[test]
     fn measured_dilation_matches_direct_probe_bitwise() {
         let mode = ExecutionMode::Vm(VmmProfile::vmplayer());
-        let direct = crate::hydrate::measure_dilation_direct(&mode);
-        assert_eq!(measured_dilation(&mode).to_bits(), direct.to_bits());
-        assert_eq!(measured_dilation(&mode).to_bits(), direct.to_bits());
+        let direct = crate::hydrate::measure_dilation_direct(&mode, true);
+        assert_eq!(measured_dilation(&mode, true).to_bits(), direct.to_bits());
+        assert_eq!(measured_dilation(&mode, true).to_bits(), direct.to_bits());
     }
 
     #[test]

@@ -110,6 +110,8 @@ pub struct HydrationPool {
     /// cost of obtaining the (deterministic) measurement — every
     /// counter in [`HydrationStats`] is identical either way.
     use_global: bool,
+    /// Scheduler mode of the probe systems (`SystemConfig::coalesce`).
+    coalesce: bool,
     stats: HydrationStats,
 }
 
@@ -126,15 +128,19 @@ impl HydrationPool {
             resident: Vec::new(),
             measured: DetMap::new(),
             use_global: false,
+            coalesce: true,
             stats: HydrationStats::default(),
         }
     }
 
-    /// Toggle the process-wide measurement memo (used by the batched
-    /// substrate when fast-forward is enabled).
-    pub(crate) fn with_global_memo(mut self, on: bool) -> Self {
-        self.use_global = on;
-        self
+    /// Apply a run's execution mode: `global_memo` toggles the
+    /// process-wide measurement memo (batched substrate with
+    /// fast-forward on) and `coalesce` is the probe systems' scheduler
+    /// mode. These are run settings, not campaign state, so a resumed
+    /// trajectory re-applies its own run's values.
+    pub(crate) fn set_run_mode(&mut self, global_memo: bool, coalesce: bool) {
+        self.use_global = global_memo;
+        self.coalesce = coalesce;
     }
 
     /// Observe one interesting-event window for an archetype at a host
@@ -152,9 +158,9 @@ impl HydrationPool {
             return;
         }
         let factor = if self.use_global {
-            crate::fastforward::measured_dilation(&spec.mode)
+            crate::fastforward::measured_dilation(&spec.mode, self.coalesce)
         } else {
-            measure_dilation_direct(&spec.mode)
+            measure_dilation_direct(&spec.mode, self.coalesce)
         };
         let bytes = probe_footprint_bytes(&spec.mode);
         Self::check(&key, factor, spec.solution.vm_factor);
@@ -202,12 +208,12 @@ impl HydrationPool {
 /// return the measured wall-time dilation. This is the single
 /// ground-truth measurement; the process-wide memo in
 /// [`crate::fastforward`] only caches its (deterministic) result.
-pub(crate) fn measure_dilation_direct(mode: &ExecutionMode) -> f64 {
+pub(crate) fn measure_dilation_direct(mode: &ExecutionMode, coalesce: bool) -> f64 {
     let block = crate::fastforward::science_block_cached();
-    let native = run_probe(block.clone());
+    let native = run_probe(block.clone(), coalesce);
     let dilated = match mode {
         ExecutionMode::Native => native,
-        ExecutionMode::Vm(profile) => run_probe(profile.dilate(&block)),
+        ExecutionMode::Vm(profile) => run_probe(profile.dilate(&block), coalesce),
     };
     dilated / native
 }
@@ -223,8 +229,11 @@ pub(crate) fn probe_footprint_bytes(mode: &ExecutionMode) -> u64 {
     }
 }
 
-fn run_probe(block: OpBlock) -> f64 {
-    let mut sys = System::new(SystemConfig::testbed(PROBE_SEED));
+fn run_probe(block: OpBlock, coalesce: bool) -> f64 {
+    let mut sys = System::new(SystemConfig {
+        coalesce,
+        ..SystemConfig::testbed(PROBE_SEED)
+    });
     sys.spawn(
         "hydration-probe",
         Priority::BelowNormal,
@@ -301,10 +310,19 @@ mod tests {
         let deploy = DeployConfig::vm(VmmProfile::qemu(), 300 << 20);
         let mut direct = HydrationPool::new();
         direct.window(&spec_for(&deploy), 2);
-        let mut global = HydrationPool::new().with_global_memo(true);
+        let mut global = HydrationPool::new();
+        global.set_run_mode(true, true);
         global.window(&spec_for(&deploy), 2);
         assert_eq!(direct.stats(), global.stats());
         assert_eq!(direct.resident, global.resident);
+    }
+
+    #[test]
+    fn per_quantum_probes_measure_bit_identical_dilation() {
+        let mode = ExecutionMode::Vm(VmmProfile::virtualbox());
+        let coalesced = measure_dilation_direct(&mode, true);
+        let reference = measure_dilation_direct(&mode, false);
+        assert_eq!(coalesced.to_bits(), reference.to_bits());
     }
 
     #[test]

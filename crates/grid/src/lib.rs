@@ -29,7 +29,7 @@
 //! [`CampaignResult`]:
 //!
 //! ```
-//! use vgrid_grid::{CampaignSpec, ChurnConfig, DeployConfig, PoolConfig, ProjectConfig};
+//! use vgrid_grid::{CampaignSpec, ChurnConfig, DeployConfig, PoolConfig, ProjectConfig, RunOptions};
 //! use vgrid_simcore::SimTime;
 //! use vgrid_vmm::VmmProfile;
 //!
@@ -40,13 +40,14 @@
 //!     .pool(pool)
 //!     .horizon(SimTime::from_secs(14 * 24 * 3600))
 //!     .seed(1);
-//! let native = base.clone().build().unwrap().run();
+//! let options = RunOptions::default();
+//! let native = base.clone().build().unwrap().run_with(&options);
 //! let vm = base
 //!     .deploy(DeployConfig::vm(VmmProfile::vmplayer(), 700 << 20))
 //!     .churn(ChurnConfig::intensity(1.0))
 //!     .build()
 //!     .unwrap()
-//!     .run();
+//!     .run_with(&options);
 //! assert!(native.metric("validated_wus").mean >= vm.metric("validated_wus").mean);
 //! ```
 
@@ -71,11 +72,11 @@ pub use campaign::{Campaign, CampaignResult, CampaignSpec};
 pub use checkpoint::{BackoffPolicy, BackoffState, QuorumValidator, RecordOutcome};
 pub use client::{BoincClientBody, ClientStats, ClientWorkSpec};
 pub use error::Error;
-pub use fastforward::{force_no_fastforward, reset_all, FastForwardStats};
+pub use fastforward::{reset_all, FastForwardStats};
 pub use faults::ChurnConfig;
 pub use hydrate::{HydrationPool, HydrationStats};
 pub use migration::MigrationPolicy;
 pub use model::{DeployConfig, ExecutionMode, GridReport, PoolConfig, ProjectConfig};
 pub use options::{RunOptions, SchedulerMode};
-pub use sim::{force_hydrated_reference, hydrated_reference_forced, vm_cpu_factor, SubstrateMode};
+pub use sim::{vm_cpu_factor, SubstrateMode};
 pub use wire::{WireError, WireErrorKind, WireRequest};

@@ -29,9 +29,7 @@
 //! bit-for-bit the PR 4 simulator.
 
 use crate::faults::ChurnConfig;
-use std::sync::Mutex;
 use vgrid_machine::MachineSpec;
-use vgrid_simcore::DetMap;
 
 /// Scheduler-side migration policy: when to export a checkpoint through
 /// the server instead of waiting for the original host.
@@ -135,52 +133,17 @@ pub(crate) fn quantize_state_bytes(bytes: u64) -> u64 {
     bytes.div_ceil(TRANSFER_QUANTUM_BYTES).max(1) * TRANSFER_QUANTUM_BYTES
 }
 
-static TRANSFER_MEMO: Mutex<Option<DetMap<u64, f64>>> = Mutex::new(None);
-
-/// Drop the transfer memo (see `grid::fastforward::reset_all`).
-pub(crate) fn reset_transfer_memo() {
-    *TRANSFER_MEMO
-        .lock()
-        .expect("grid::migration::TRANSFER_MEMO poisoned") = None;
-}
-
-/// Uncontended wire seconds for one quantized checkpoint on the
-/// server's NIC — the testbed machine's calibrated 100 Mbps link.
-fn wire_secs_direct(quantized_bytes: u64) -> f64 {
+/// Base (uncontended) wire seconds for a checkpoint of `state_bytes`,
+/// quantized to whole chunks, on the server's NIC — the testbed
+/// machine's calibrated 100 Mbps link. A campaign's checkpoint size is
+/// fixed by its deploy config, so the simulator calls this once per
+/// campaign and keeps the result.
+pub(crate) fn transfer_wire_secs(state_bytes: u64) -> f64 {
     MachineSpec::core2_duo_6600()
         .nic_model()
         .link
-        .wire_time(quantized_bytes)
+        .wire_time(quantize_state_bytes(state_bytes))
         .as_secs_f64()
-}
-
-/// Base (uncontended) transfer seconds for a checkpoint of
-/// `state_bytes`. The memoized path stores a pure function of the
-/// quantized size, so hits are bit-identical to cold computes; the
-/// reference substrate and the `--no-fastforward` kill switch pass
-/// `use_memo = false` and recompute from scratch, preserving the
-/// cache-free-truth discipline of the other fast-forward layers.
-pub(crate) fn transfer_wire_secs(state_bytes: u64, use_memo: bool) -> f64 {
-    let quantized = quantize_state_bytes(state_bytes);
-    if !use_memo {
-        return wire_secs_direct(quantized);
-    }
-    {
-        let mut guard = TRANSFER_MEMO
-            .lock()
-            .expect("grid::migration::TRANSFER_MEMO poisoned");
-        if let Some(&secs) = guard.get_or_insert_with(DetMap::new).get(&quantized) {
-            return secs;
-        }
-    }
-    let secs = wire_secs_direct(quantized);
-    let mut guard = TRANSFER_MEMO
-        .lock()
-        .expect("grid::migration::TRANSFER_MEMO poisoned");
-    guard
-        .get_or_insert_with(DetMap::new)
-        .insert(quantized, secs);
-    secs
 }
 
 /// Probability that a host computing for another `window_secs` is
@@ -270,14 +233,8 @@ mod tests {
         // 256 MB of guest RAM over the ~97.6 Mbps effective link lands
         // in the tens of seconds; the paper-calibrated NIC is the
         // source of truth, so pin only the bracket.
-        let secs = transfer_wire_secs(256 << 20, false);
+        let secs = transfer_wire_secs(256 << 20);
         assert!((10.0..60.0).contains(&secs), "{secs}");
-        // Memoized and direct computes are bit-identical.
-        reset_transfer_memo();
-        let warm = transfer_wire_secs(256 << 20, true);
-        let hit = transfer_wire_secs(256 << 20, true);
-        assert_eq!(secs.to_bits(), warm.to_bits());
-        assert_eq!(secs.to_bits(), hit.to_bits());
     }
 
     #[test]

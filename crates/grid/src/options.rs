@@ -1,24 +1,18 @@
 //! Typed per-run execution options.
 //!
-//! Historically the three execution-mode switches were process globals
-//! set once by the CLI (`vgrid_os::force_per_quantum_reference`,
-//! [`crate::sim::force_hydrated_reference`],
-//! [`crate::fastforward::force_no_fastforward`]). A long-running server
-//! cannot use process globals: two concurrent requests may legitimately
-//! ask for different modes. [`RunOptions`] carries the same three
-//! switches as a value, threaded through [`crate::Campaign::run_with`]
-//! and the engine entry points, so every run is a pure function of
-//! `(spec, seed, options)` with no ambient mode state.
-//!
-//! The globals survive as deprecated CLI shims: the no-argument entry
-//! points ([`crate::Campaign::run`], `Engine::run_trials`) snapshot
-//! them via [`RunOptions::from_globals`], which the `options_shims`
-//! integration test pins bit-identical to the explicit-options path.
+//! [`RunOptions`] is the one place a run's execution mode is chosen:
+//! the scheduler (coalesced vs per-quantum reference), the grid host
+//! substrate (batched vs hydrated reference) and whether the analytic
+//! fast-forward caches are consulted. It is threaded as a value through
+//! [`crate::Campaign::run_with`] and held by the core engine from
+//! construction, so every run is a pure function of
+//! `(spec, seed, options)` with no ambient mode state, and concurrent
+//! server requests can differ in mode.
 
 use crate::sim::SubstrateMode;
 
-/// Scheduler execution mode for `vgrid_os::System`-backed trials: the
-/// typed twin of `vgrid_os::force_per_quantum_reference`.
+/// Scheduler execution mode for `vgrid_os::System`-backed runs (it
+/// sets `SystemConfig::coalesce`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SchedulerMode {
     /// Slice-coalescing fast path (the default).
@@ -33,8 +27,8 @@ pub enum SchedulerMode {
 /// substrate, fast-forward caches on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunOptions {
-    /// Scheduler execution mode (engine trials; grid campaigns run on
-    /// the desktop-grid simulator and ignore this switch).
+    /// Scheduler execution mode of every `System` a run builds: engine
+    /// trials and the grid's hydration probes.
     pub scheduler: SchedulerMode,
     /// Grid host substrate (`--hydrated-reference` selects the
     /// reference substrate).
@@ -56,25 +50,6 @@ impl Default for RunOptions {
 }
 
 impl RunOptions {
-    /// Snapshot the three deprecated process globals into a typed
-    /// options value. The no-argument run entry points call this, so
-    /// the legacy CLI flags keep working unchanged.
-    pub fn from_globals() -> Self {
-        RunOptions {
-            scheduler: if vgrid_os::per_quantum_reference_forced() {
-                SchedulerMode::PerQuantumReference
-            } else {
-                SchedulerMode::Coalesced
-            },
-            substrate: if crate::sim::hydrated_reference_forced() {
-                SubstrateMode::HydratedReference
-            } else {
-                SubstrateMode::Batched
-            },
-            fastforward: crate::fastforward::enabled(),
-        }
-    }
-
     /// Set the scheduler mode.
     pub fn scheduler(mut self, scheduler: SchedulerMode) -> Self {
         self.scheduler = scheduler;
@@ -122,8 +97,4 @@ mod tests {
         assert_eq!(o.substrate, SubstrateMode::HydratedReference);
         assert!(!o.fastforward);
     }
-
-    // `from_globals` is pinned against the actual globals by the
-    // `options_shims` integration test, which owns a whole process and
-    // so can mutate the deprecated toggles without racing other tests.
 }

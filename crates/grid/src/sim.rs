@@ -31,7 +31,7 @@ use crate::faults::{self, ChurnConfig};
 use crate::hydrate::{HydrationPool, ProbeSpec};
 use crate::migration;
 use crate::model::{DeployConfig, ExecutionMode, GridReport, PoolConfig, ProjectConfig};
-use std::sync::atomic::{AtomicBool, Ordering};
+use crate::options::RunOptions;
 use vgrid_machine::MachineSpec;
 use vgrid_simcore::{
     CalendarQueue, DetMap, DetSet, EventQueue, EventScheduler, SimDuration, SimRng, SimTime,
@@ -234,32 +234,16 @@ pub enum SubstrateMode {
     HydratedReference,
 }
 
-static FORCE_HYDRATED_REFERENCE: AtomicBool = AtomicBool::new(false);
-
-/// Force every subsequent campaign onto the reference substrate — the
-/// `--hydrated-reference` CLI flag (the grid twin of
-/// `vgrid_os::force_per_quantum_reference`).
-pub fn force_hydrated_reference(on: bool) {
-    FORCE_HYDRATED_REFERENCE.store(on, Ordering::SeqCst);
-}
-
-/// Whether [`force_hydrated_reference`] is currently in effect.
-pub fn hydrated_reference_forced() -> bool {
-    FORCE_HYDRATED_REFERENCE.load(Ordering::SeqCst)
-}
-
-/// Run one campaign on an explicit substrate; stops when all work
-/// units validate or at `horizon`. The campaign API
+/// Run one campaign under explicit execution options; stops when all
+/// work units validate or at `horizon`. The campaign API
 /// ([`crate::campaign::Campaign`]) is the public entry point.
 ///
-/// On the batched substrate with `ff` (fast-forward) set — the
-/// default, threaded down from `RunOptions::fastforward` — the trial
-/// first consults the process-wide trajectory cache: a stored
+/// On the batched substrate with fast-forward on — the default — the
+/// trial first consults the process-wide trajectory cache: a stored
 /// loop-exit snapshot of the same configuration at a horizon at or
 /// below the requested one resumes mid-stream instead of replaying
 /// from t=0 (see [`crate::fastforward`]). Resumed and cold runs are
 /// bit-identical by contract.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_campaign_substrate(
     project: &ProjectConfig,
     pool: &PoolConfig,
@@ -267,56 +251,40 @@ pub(crate) fn run_campaign_substrate(
     churn: &ChurnConfig,
     seed: u64,
     horizon: SimTime,
-    substrate: SubstrateMode,
-    ff: bool,
+    options: &RunOptions,
 ) -> GridReport {
-    match substrate {
-        SubstrateMode::Batched => {
-            if ff {
-                let key = fastforward::trajectory_key(project, pool, deploy, churn, seed);
-                if let Some(ckpt) = fastforward::trajectory_lookup(&key, horizon) {
-                    return resume_campaign(project, pool, deploy, churn, horizon, &key, ckpt);
-                }
-                run_campaign_on(
-                    project,
-                    pool,
-                    deploy,
-                    churn,
-                    seed,
-                    horizon,
-                    substrate,
-                    true,
-                    CalendarQueue::new(),
-                    Some(&key),
-                )
-            } else {
-                run_campaign_on(
-                    project,
-                    pool,
-                    deploy,
-                    churn,
-                    seed,
-                    horizon,
-                    substrate,
-                    false,
-                    CalendarQueue::new(),
-                    None,
-                )
-            }
-        }
-        SubstrateMode::HydratedReference => run_campaign_on(
+    if options.substrate == SubstrateMode::HydratedReference {
+        return run_campaign_on(
             project,
             pool,
             deploy,
             churn,
             seed,
             horizon,
-            substrate,
-            ff,
+            options,
             EventQueue::new(),
             None,
-        ),
+        );
     }
+    let key = options
+        .fastforward
+        .then(|| fastforward::trajectory_key(project, pool, deploy, churn, seed));
+    if let Some(key) = &key {
+        if let Some(ckpt) = fastforward::trajectory_lookup(key, horizon) {
+            return resume_campaign(project, pool, deploy, churn, horizon, options, key, ckpt);
+        }
+    }
+    run_campaign_on(
+        project,
+        pool,
+        deploy,
+        churn,
+        seed,
+        horizon,
+        options,
+        CalendarQueue::new(),
+        key.as_deref(),
+    )
 }
 
 /// Everything the campaign loop mutates, bundled so the loop exit can
@@ -342,10 +310,9 @@ pub(crate) struct SimState {
     /// export contends with these (migration policy only — always zero
     /// otherwise).
     inflight_xfers: u32,
-    /// Whether the transfer-cost memo may be consulted (batched
-    /// substrate with fast-forward on). Rides the snapshot so resumed
-    /// runs keep the cold run's cache discipline.
-    use_memo: bool,
+    /// Uncontended wire seconds of one exported checkpoint: the
+    /// campaign's checkpoint size is fixed, so this is a constant.
+    transfer_base_secs: f64,
 }
 
 /// A campaign trajectory frozen at its loop exit: the full mutable
@@ -369,12 +336,16 @@ impl CampaignCheckpoint {
 /// Resume a campaign from a stored prefix snapshot: rebuild a calendar
 /// queue from the drained pending events (re-scheduling in pop order
 /// preserves same-instant FIFO ties) and continue the identical loop.
+/// The snapshot may come from a run in the other scheduler mode, so
+/// the hydration pool takes this run's probe settings.
+#[allow(clippy::too_many_arguments)]
 fn resume_campaign(
     project: &ProjectConfig,
     pool: &PoolConfig,
     deploy: &DeployConfig,
     churn: &ChurnConfig,
     horizon: SimTime,
+    options: &RunOptions,
     key: &str,
     ckpt: CampaignCheckpoint,
 ) -> GridReport {
@@ -387,6 +358,8 @@ fn resume_campaign(
         state: mut st,
         pending,
     } = ckpt;
+    st.hpool
+        .set_run_mode(true, !options.per_quantum_reference());
     let mut q = CalendarQueue::new();
     for (time, ev) in pending {
         q.schedule(time, ev);
@@ -407,8 +380,7 @@ fn run_campaign_on<Q: EventScheduler<Ev>>(
     churn: &ChurnConfig,
     seed: u64,
     horizon: SimTime,
-    substrate: SubstrateMode,
-    ff: bool,
+    options: &RunOptions,
     mut q: Q,
     store_key: Option<&str>,
 ) -> GridReport {
@@ -417,9 +389,7 @@ fn run_campaign_on<Q: EventScheduler<Ev>>(
         backoff: BackoffPolicy::default(),
         on: !churn.is_off(),
     };
-    let mut st = init_state(
-        project, pool, deploy, churn, seed, substrate, ff, &fctx, &mut q,
-    );
+    let mut st = init_state(project, pool, deploy, churn, seed, options, &fctx, &mut q);
     let carried = run_loop(&mut st, &mut q, project, pool, deploy, &fctx, horizon);
     store_and_finalize(st, q, carried, project, deploy, horizon, store_key)
 }
@@ -433,8 +403,7 @@ fn init_state<Q: EventScheduler<Ev>>(
     deploy: &DeployConfig,
     churn: &ChurnConfig,
     seed: u64,
-    substrate: SubstrateMode,
-    ff: bool,
+    options: &RunOptions,
     fctx: &FaultCtx<'_>,
     q: &mut Q,
 ) -> SimState {
@@ -443,8 +412,8 @@ fn init_state<Q: EventScheduler<Ev>>(
     // process-wide memo; the reference substrate recomputes from
     // scratch. Both produce bit-identical constants (the memo stores
     // only solver *inputs* — see `crate::archetype`).
-    let solution = match substrate {
-        SubstrateMode::Batched => archetype::solve_with(deploy, ff),
+    let solution = match options.substrate {
+        SubstrateMode::Batched => archetype::solve(deploy),
         SubstrateMode::HydratedReference => archetype::solve_direct(deploy),
     };
     let vm_factor = solution.vm_factor;
@@ -461,13 +430,14 @@ fn init_state<Q: EventScheduler<Ev>>(
     };
 
     // The fast-forward layers serve only the batched substrate; the
-    // reference substrate (and the kill switch) recompute everything.
-    let fast = substrate == SubstrateMode::Batched && ff;
+    // reference substrate (and fast-forward off) recompute everything.
+    let fast = options.substrate == SubstrateMode::Batched && options.fastforward;
 
     // Lazy-hydration pool: full-fidelity probe systems materialized in
     // windows around interesting events, cross-checking the analytic
     // ledger. Probes observe only — they draw no host randomness.
-    let hpool = HydrationPool::new().with_global_memo(fast);
+    let mut hpool = HydrationPool::new();
+    hpool.set_run_mode(fast, !options.per_quantum_reference());
     let probe = ProbeSpec {
         key: archetype::solver_key(&deploy.mode),
         mode: deploy.mode.clone(),
@@ -536,7 +506,7 @@ fn init_state<Q: EventScheduler<Ev>>(
 
     // Server state. The batched substrate issues fresh copies lazily
     // (materialized when a host takes them); the reference substrate
-    // and the kill switch run the legacy eager setup. Copy indices are
+    // and fast-forward off run the legacy eager setup. Copy indices are
     // internal lookup keys, so the two schemes are report-identical.
     let mut validator = QuorumValidator::new(project.workunits, project.quorum);
     let queue = if fast {
@@ -569,7 +539,9 @@ fn init_state<Q: EventScheduler<Ev>>(
         // the hosts that can take work instead of scanning the pool.
         idle: DetSet::new(),
         inflight_xfers: 0,
-        use_memo: fast,
+        transfer_base_secs: migration::transfer_wire_secs(archetype::checkpoint_state_bytes(
+            deploy,
+        )),
     }
 }
 
@@ -587,7 +559,7 @@ fn run_loop<Q: EventScheduler<Ev>>(
 ) -> Option<(SimTime, Ev)> {
     let vm_factor = st.vm_factor;
     let ckpt_frac = st.ckpt_frac;
-    let use_memo = st.use_memo;
+    let transfer_base_secs = st.transfer_base_secs;
     let SimState {
         hosts,
         report,
@@ -1013,7 +985,7 @@ fn run_loop<Q: EventScheduler<Ev>>(
                     vm_factor,
                     ckpt_frac,
                     !stranded,
-                    use_memo,
+                    transfer_base_secs,
                     inflight_xfers,
                     report,
                     q,
@@ -1099,7 +1071,7 @@ fn run_loop<Q: EventScheduler<Ev>>(
                     vm_factor,
                     ckpt_frac,
                     true,
-                    use_memo,
+                    transfer_base_secs,
                     inflight_xfers,
                     report,
                     q,
@@ -1392,7 +1364,7 @@ fn export_checkpoint<Q: EventScheduler<Ev>>(
     vm_factor: f64,
     ckpt_frac: f64,
     accrue: bool,
-    use_memo: bool,
+    transfer_base_secs: f64,
     inflight_xfers: &mut u32,
     report: &mut GridReport,
     q: &mut Q,
@@ -1415,13 +1387,8 @@ fn export_checkpoint<Q: EventScheduler<Ev>>(
     };
     hosts[h].activity = None;
     hosts[h].act_gen += 1; // cancel the pending ActDone
-    let state_bytes = match &deploy.mode {
-        ExecutionMode::Native => deploy.native_checkpoint_bytes,
-        ExecutionMode::Vm(p) => p.guest_ram,
-    };
-    // One server link: concurrent exports stretch each other linearly.
-    let base = migration::transfer_wire_secs(state_bytes, use_memo);
-    let secs = base * (1.0 + *inflight_xfers as f64);
+                           // One server link: concurrent exports stretch each other linearly.
+    let secs = transfer_base_secs * (1.0 + *inflight_xfers as f64);
     *inflight_xfers += 1;
     report.transfer_secs += secs;
     q.schedule(
@@ -1541,12 +1508,8 @@ fn start_next_activity<Q: EventScheduler<Ev>>(
                 } => {
                     // Fetch the migrated checkpoint: the VM's committed
                     // RAM (or the small app-level state when native).
-                    let state_bytes = match &deploy.mode {
-                        ExecutionMode::Native => deploy.native_checkpoint_bytes,
-                        ExecutionMode::Vm(p) => p.guest_ram,
-                    };
                     hosts[h].activity = Some(Activity::StateDl {
-                        remaining: state_bytes as f64,
+                        remaining: archetype::checkpoint_state_bytes(deploy) as f64,
                         task: copy,
                         remaining_ref,
                     });
@@ -1628,8 +1591,7 @@ mod tests {
             churn,
             seed,
             horizon,
-            SubstrateMode::Batched,
-            true,
+            &RunOptions::default(),
         )
     }
 
@@ -1700,8 +1662,7 @@ mod tests {
                 &churn,
                 seed,
                 h,
-                SubstrateMode::HydratedReference,
-                true,
+                &RunOptions::default().substrate(SubstrateMode::HydratedReference),
             )
         };
         let warm = |h| run_impl(&project, &pool, &deploy, &churn, seed, h);
@@ -1752,8 +1713,7 @@ mod tests {
                         &churn,
                         9,
                         horizon(),
-                        substrate,
-                        true,
+                        &RunOptions::default().substrate(substrate),
                     )
                 };
                 let batched = run(SubstrateMode::Batched);

@@ -6,12 +6,13 @@
 //! runs h1 first (storing the prefix), then h2 (resuming from it); the
 //! hydrated-reference substrate runs the same horizons cold — it never
 //! consults the fast-forward caches, so it is a race-free ground truth.
-//! Both scheduler modes are exercised, which is why this proptest lives
-//! in its own test binary: `force_per_quantum_reference` is process
-//! global and must not flip under concurrently running tests.
+//! Both scheduler modes are exercised through `RunOptions`.
 
 use proptest::prelude::*;
-use vgrid_grid::{CampaignSpec, ChurnConfig, DeployConfig, GridReport, PoolConfig, ProjectConfig};
+use vgrid_grid::{
+    CampaignSpec, ChurnConfig, DeployConfig, GridReport, PoolConfig, ProjectConfig, RunOptions,
+    SchedulerMode, SubstrateMode,
+};
 use vgrid_simcore::{SimDuration, SimTime};
 use vgrid_vmm::VmmProfile;
 
@@ -20,7 +21,7 @@ fn run_point(
     churn_level: f64,
     ckpt_secs: u64,
     horizon: SimTime,
-    reference: bool,
+    options: &RunOptions,
 ) -> GridReport {
     let mut deploy = DeployConfig::vm(VmmProfile::vmplayer(), 300 << 20);
     deploy.checkpoint_interval = SimDuration::from_secs(ckpt_secs);
@@ -39,10 +40,9 @@ fn run_point(
         .churn(ChurnConfig::intensity(churn_level))
         .seed(seed)
         .horizon(horizon)
-        .hydrated_reference(reference)
         .build()
         .expect("valid sweep point")
-        .run()
+        .run_with(options)
         .reports()[0]
         .clone()
 }
@@ -62,22 +62,22 @@ proptest! {
         let ckpt = ckpt_min * 60;
         let h1 = SimTime::from_secs(h1_days * 24 * 3600);
         let h2 = SimTime::from_secs((h1_days + extra_days) * 24 * 3600);
-        for per_quantum in [false, true] {
-            vgrid_os::force_per_quantum_reference(per_quantum);
+        for scheduler in [SchedulerMode::Coalesced, SchedulerMode::PerQuantumReference] {
+            let warm = RunOptions::default().scheduler(scheduler);
+            let cold = warm.substrate(SubstrateMode::HydratedReference);
             // Warm order matters: h1 stores the prefix h2 resumes from.
-            let warm1 = run_point(seed, churn, ckpt, h1, false);
-            let warm2 = run_point(seed, churn, ckpt, h2, false);
-            let cold1 = run_point(seed, churn, ckpt, h1, true);
-            let cold2 = run_point(seed, churn, ckpt, h2, true);
+            let warm1 = run_point(seed, churn, ckpt, h1, &warm);
+            let warm2 = run_point(seed, churn, ckpt, h2, &warm);
+            let cold1 = run_point(seed, churn, ckpt, h1, &cold);
+            let cold2 = run_point(seed, churn, ckpt, h2, &cold);
             prop_assert_eq!(
                 &warm1, &cold1,
-                "h1 diverged (per_quantum={})", per_quantum
+                "h1 diverged ({:?})", scheduler
             );
             prop_assert_eq!(
                 &warm2, &cold2,
-                "prefix resume at h2 diverged (per_quantum={})", per_quantum
+                "prefix resume at h2 diverged ({:?})", scheduler
             );
         }
-        vgrid_os::force_per_quantum_reference(false);
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests of campaign-level invariants.
 
 use proptest::prelude::*;
-use vgrid_grid::{CampaignSpec, ChurnConfig, DeployConfig, PoolConfig, ProjectConfig};
+use vgrid_grid::{CampaignSpec, ChurnConfig, DeployConfig, PoolConfig, ProjectConfig, RunOptions};
 use vgrid_simcore::SimTime;
 use vgrid_vmm::VmmProfile;
 
@@ -45,7 +45,7 @@ proptest! {
             .churn(ChurnConfig::intensity(churn_level as f64))
             .seed(seed)
             .horizon(SimTime::from_secs(10 * 24 * 3600));
-        let a = spec.clone().build().unwrap().run();
+        let a = spec.clone().build().unwrap().run_with(&RunOptions::default());
         let a = &a.reports()[0];
         prop_assert!(a.validated_wus <= project.workunits);
         prop_assert!(a.cpu_secs_lost <= a.cpu_secs_spent + 1e-6);
@@ -69,7 +69,7 @@ proptest! {
         }
         // Determinism: the fault schedule is a pure function of
         // (config, seed), so a rebuilt campaign replays bit-identically.
-        let b = spec.build().unwrap().run();
+        let b = spec.build().unwrap().run_with(&RunOptions::default());
         let b = &b.reports()[0];
         prop_assert_eq!(a, b);
     }
@@ -111,8 +111,8 @@ proptest! {
             .seed(seed)
             .repetitions(3)
             .horizon(SimTime::from_secs(5 * 24 * 3600));
-        let par = spec.clone().build().unwrap().run();
-        let seq = spec.build().unwrap().run_seq();
+        let par = spec.clone().build().unwrap().run_with(&RunOptions::default());
+        let seq = spec.build().unwrap().run_seq_with(&RunOptions::default());
         prop_assert_eq!(par.reports(), seq.reports());
         for name in par.metric_names() {
             prop_assert_eq!(

@@ -1,10 +1,10 @@
 //! Minimal deterministic JSON writing helpers.
 //!
-//! `vgrid-simobs` sits below `vgrid-core`, so it cannot reuse the figure
-//! crate's JSON module; this is the same byte-stable formatting contract
-//! (escaped strings, round-trip floats) restated for telemetry output.
-//! There is deliberately no parser here — the artifacts this crate emits
-//! are gated with `cmp`, not reparsed.
+//! The one home of the byte-stable formatting contract (escaped strings,
+//! round-trip floats): `vgrid-core`'s figure JSON module re-exports
+//! [`string`] and [`number`] from here. There is deliberately no parser
+//! here — the artifacts this crate emits are gated with `cmp`, not
+//! reparsed; the figure module keeps its own small parser.
 
 /// Escape and quote a string.
 pub fn string(s: &str) -> String {

@@ -12,7 +12,7 @@
 //! wall time and lost guest progress; then sweeps the checkpoint interval
 //! in a churning volunteer campaign to show the fault-tolerance payoff.
 
-use vgrid::grid::{CampaignSpec, ChurnConfig, DeployConfig, PoolConfig, ProjectConfig};
+use vgrid::grid::{CampaignSpec, ChurnConfig, DeployConfig, PoolConfig, ProjectConfig, RunOptions};
 use vgrid::os::{Priority, System, SystemConfig};
 use vgrid::simcore::{SimDuration, SimTime};
 use vgrid::vmm::{GuestConfig, GuestVm, Vm, VmConfig, VmmProfile};
@@ -86,7 +86,7 @@ fn main() {
             .horizon(horizon)
             .build()
             .expect("valid campaign")
-            .run();
+            .run_with(&RunOptions::default());
         let r = &result.reports()[0];
         println!(
             "  every {:>3} min: validated {:>4} WUs, lost {:>6.1} h of computation to churn \

@@ -13,7 +13,7 @@
 //! time-server methodology.
 
 use vgrid::core::{experiments, Fidelity};
-use vgrid::grid::{CampaignSpec, DeployConfig, PoolConfig, ProjectConfig};
+use vgrid::grid::{CampaignSpec, DeployConfig, PoolConfig, ProjectConfig, RunOptions};
 use vgrid::simcore::SimTime;
 use vgrid::vmm::VmmProfile;
 
@@ -50,7 +50,7 @@ fn main() {
             .horizon(horizon)
             .build()
             .expect("valid campaign")
-            .run();
+            .run_with(&RunOptions::default());
         let r = &result.reports()[0];
         println!(
             "  {:<16} validated {:>5}  cpu {:>9.0}s (lost {:>7.0}s)  images {:>6.0}s  excluded {}",

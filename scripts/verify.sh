@@ -43,6 +43,21 @@ metrics_identity() {
   cmp tests/golden/fig1.metrics.json target/fig1.metrics.json
 }
 
+# The scheduler reference reaches the engine through RunOptions alone
+# (DESIGN.md §7.1): `--per-quantum-reference` must leave fig1's output
+# unchanged while its manifest reports the reference mode and not one
+# coalesced quantum.
+reference_modes_smoke() {
+  cargo run -q --release --bin vgrid -- run fig1 > target/fig1.coalesced.txt
+  cargo run -q --release --bin vgrid -- run fig1 --per-quantum-reference \
+    > target/fig1.reference.txt
+  cmp target/fig1.coalesced.txt target/fig1.reference.txt
+  cargo run -q --release --bin vgrid -- run fig1 --per-quantum-reference \
+    --metrics-json target/fig1.reference.metrics.json > /dev/null
+  grep -q '"scheduler_mode":"per-quantum-reference"' target/fig1.reference.metrics.json
+  grep -Eq '"os.loop.quanta_coalesced":0[,}]' target/fig1.reference.metrics.json
+}
+
 churn_smoke() {
   cargo run -q --release --bin vgrid -- run grid-churn > /dev/null
 }
@@ -84,6 +99,9 @@ step "EXPERIMENTS.md byte-identity (zero churn must not move any figure)" \
 
 step "fig1 metrics manifest byte-identity (tests/golden/fig1.metrics.json)" \
   metrics_identity
+
+step "reference modes smoke (--per-quantum-reference: same fig1 output, reference manifest)" \
+  reference_modes_smoke
 
 step "serve smoke (live server vs campaign --spec, byte-identical)" \
   serve_smoke

@@ -28,17 +28,17 @@
 use std::process::ExitCode;
 use std::time::Duration;
 use vgrid::args::{parse, FlagSpec, ParsedArgs};
-use vgrid::core::{experiments, obs, Fidelity};
-use vgrid::grid::{wire, CampaignSpec, ChurnConfig, DeployConfig, PoolConfig, ProjectConfig};
+use vgrid::core::{experiments, obs, Engine, Fidelity};
+use vgrid::grid::{
+    wire, CampaignSpec, ChurnConfig, DeployConfig, PoolConfig, ProjectConfig, RunOptions,
+    SchedulerMode, SubstrateMode,
+};
 use vgrid::serve::{ServeConfig, Server};
 use vgrid::simcore::SimTime;
 use vgrid::vmm::VmmProfile;
 
-/// The three deprecated process-global execution-mode switches, shared
-/// by every command that runs simulations. New code threads
-/// `RunOptions` values instead (`grid::options`); these flags keep the
-/// legacy single-run CLI working and are pinned equivalent to the
-/// typed path by the `options_shims` integration test.
+/// The execution-mode switches shared by `run` and `trace`; each maps
+/// onto one `RunOptions` field (see [`run_options`]).
 const MODE_FLAGS: &[FlagSpec] = &[
     FlagSpec::switch("--per-quantum-reference"),
     FlagSpec::switch("--hydrated-reference"),
@@ -67,17 +67,17 @@ fn report_loop_totals(p: &ParsedArgs) {
     }
 }
 
-/// Honor the deprecated mode switches (see [`MODE_FLAGS`]).
-fn apply_scheduler_mode(p: &ParsedArgs) {
+/// The run's execution options, built from whichever of the mode
+/// switches (see [`MODE_FLAGS`]) the command accepted and was given.
+fn run_options(p: &ParsedArgs) -> RunOptions {
+    let mut options = RunOptions::default().fastforward(!p.switch("--no-fastforward"));
     if p.switch("--per-quantum-reference") {
-        vgrid::os::force_per_quantum_reference(true);
+        options = options.scheduler(SchedulerMode::PerQuantumReference);
     }
     if p.switch("--hydrated-reference") {
-        vgrid::grid::force_hydrated_reference(true);
+        options = options.substrate(SubstrateMode::HydratedReference);
     }
-    if p.switch("--no-fastforward") {
-        vgrid::grid::force_no_fastforward(true);
-    }
+    options
 }
 
 /// Wall-clock reading for the stderr phase summary. Reported, never
@@ -102,6 +102,7 @@ fn report_wall_phases(setup: Duration, simulate: Duration, emit: Duration) {
 /// Returns the observed run for further printing, or `None` after
 /// reporting the failure.
 fn run_observed_to_file(
+    engine: &Engine,
     id: &str,
     fid: Fidelity,
     path: &str,
@@ -109,7 +110,7 @@ fn run_observed_to_file(
 ) -> Option<obs::ObservedRun> {
     let t0 = wall_now();
     let setup = t0.elapsed();
-    let Some(run) = obs::run_observed(id, fid) else {
+    let Some(run) = obs::run_observed_with(engine, id, fid) else {
         eprintln!("unknown experiment id '{id}'; try `vgrid list`");
         return None;
     };
@@ -239,7 +240,6 @@ fn campaign(p: &ParsedArgs) -> ExitCode {
             .churn(ChurnConfig::intensity(churn_level))
             .seed(0xc11)
             .horizon(SimTime::from_secs(days * 24 * 3600))
-            .hydrated_reference(p.switch("--hydrated-reference"))
             .build()
         {
             Ok(c) => c,
@@ -248,7 +248,7 @@ fn campaign(p: &ParsedArgs) -> ExitCode {
                 return Ok(ExitCode::FAILURE);
             }
         };
-        let result = campaign.run();
+        let result = campaign.run_with(&run_options(p));
         let r = &result.reports()[0];
         println!(
             "{} deployment, {volunteers} volunteers, {days} days, churn {churn_level}:",
@@ -386,15 +386,15 @@ fn main() -> ExitCode {
             let [id] = p.positionals() else {
                 return usage();
             };
-            apply_scheduler_mode(&p);
+            let engine = Engine::with_options(run_options(&p));
             let fid = fidelity(&p);
             let fig = if let Some(path) = p.value("--metrics-json") {
-                let Some(run) = run_observed_to_file(id, fid, path, "manifest") else {
+                let Some(run) = run_observed_to_file(&engine, id, fid, path, "manifest") else {
                     return ExitCode::FAILURE;
                 };
                 run.figure
             } else {
-                let Some(fig) = experiments::run_by_id(id, fid) else {
+                let Some(fig) = experiments::run_by_id_with(&engine, id, fid) else {
                     eprintln!("unknown experiment id '{id}'; try `vgrid list`");
                     return ExitCode::FAILURE;
                 };
@@ -424,9 +424,9 @@ fn main() -> ExitCode {
                 eprintln!("trace needs --out <path>");
                 return usage();
             };
-            apply_scheduler_mode(&p);
+            let engine = Engine::with_options(run_options(&p));
             let fid = fidelity(&p);
-            if run_observed_to_file(id, fid, path, "trace").is_none() {
+            if run_observed_to_file(&engine, id, fid, path, "trace").is_none() {
                 return ExitCode::FAILURE;
             }
             eprintln!(

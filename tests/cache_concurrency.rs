@@ -1,22 +1,22 @@
 //! 16-thread stress over the grid fast-forward caches: the runtime
 //! witness for what `simlint`'s static shared-state pass proves
-//! (DESIGN.md §14). Sixteen threads hammer the process-wide
-//! segment-solution, probe-dilation, and trajectory caches with the
-//! same campaign list a single-threaded run executes, and every
-//! thread's rendered run manifest must stay byte-identical to the
-//! sequential reference — in both scheduler execution modes.
+//! (DESIGN.md §14). Sixteen threads hammer the process-wide vm-factor,
+//! probe-dilation, and trajectory caches with the same campaign list a
+//! single-threaded run executes — eight in each scheduler execution
+//! mode, at the same time — and every thread's rendered run manifest
+//! must stay byte-identical to the sequential reference of its mode.
 //!
 //! Hit/miss *counters* are deliberately excluded from the manifests
 //! built here: under concurrent cold misses two threads may race to
 //! solve the same key, so the counts are not deterministic. The
 //! *results* are — that is the contract this test pins.
 //!
-//! Everything lives in one `#[test]` because the scheduler-mode toggle
-//! and the cache reset hook are process-global; parallel test functions
-//! would race on them.
+//! Everything lives in one `#[test]` because the cache reset hook is
+//! process-global; parallel test functions would race on it.
 
-use vgrid::grid::{self, CampaignSpec, DeployConfig, PoolConfig, ProjectConfig};
-use vgrid::os::force_per_quantum_reference;
+use vgrid::grid::{
+    self, CampaignSpec, DeployConfig, PoolConfig, ProjectConfig, RunOptions, SchedulerMode,
+};
 use vgrid::simcore::{SimDuration, SimTime};
 use vgrid::simobs::manifest::config_digest;
 use vgrid::simobs::{fnv1a64, MetricsRegistry, RunManifest};
@@ -25,7 +25,7 @@ use vgrid::vmm::VmmProfile;
 const THREADS: usize = 16;
 
 /// The campaign list every participant runs, covering all three cache
-/// layers: native and two VM modes hit the segment/dilation caches,
+/// layers: native and two VM modes hit the vm-factor/dilation caches,
 /// and the same VM configuration at two horizons exercises the
 /// trajectory cache's prefix-resume path.
 fn spec_list() -> Vec<CampaignSpec> {
@@ -62,12 +62,16 @@ fn spec_list() -> Vec<CampaignSpec> {
 /// Run the list on the calling thread and render a run manifest whose
 /// metrics are per-campaign FNV digests of the full result (every
 /// float of every repetition participates via the `Debug` rendering).
-fn run_and_render(mode_name: &str) -> String {
+fn run_and_render(scheduler: SchedulerMode) -> String {
+    let options = RunOptions::default().scheduler(scheduler);
     let mut metrics = MetricsRegistry::new();
     let mut labels = Vec::new();
     for spec in spec_list() {
         let label = spec.label.clone();
-        let result = spec.build().expect("stress spec is valid").run();
+        let result = spec
+            .build()
+            .expect("stress spec is valid")
+            .run_with(&options);
         metrics.counter_add(
             &format!("campaign.{label}.result_digest"),
             fnv1a64(format!("{result:?}").as_bytes()),
@@ -77,7 +81,7 @@ fn run_and_render(mode_name: &str) -> String {
     RunManifest {
         experiment: "cache-concurrency".to_string(),
         fidelity: "fast".to_string(),
-        scheduler_mode: mode_name.to_string(),
+        scheduler_mode: format!("{scheduler:?}"),
         seed: 0,
         config_digest: config_digest(&labels),
         trials: labels,
@@ -89,34 +93,39 @@ fn run_and_render(mode_name: &str) -> String {
 
 #[test]
 fn sixteen_threads_render_manifests_byte_identical_to_sequential() {
-    for (reference, mode_name) in [(false, "coalesced"), (true, "per-quantum-reference")] {
-        force_per_quantum_reference(reference);
+    const MODES: [SchedulerMode; 2] =
+        [SchedulerMode::Coalesced, SchedulerMode::PerQuantumReference];
 
-        // Sequential reference: cold caches, one thread.
-        grid::reset_all();
-        let reference_doc = run_and_render(mode_name);
-        assert!(!reference_doc.is_empty());
+    // Sequential references: cold caches, one thread, one per mode.
+    let reference_docs: Vec<String> = MODES
+        .iter()
+        .map(|&mode| {
+            grid::reset_all();
+            let doc = run_and_render(mode);
+            assert!(!doc.is_empty());
+            doc
+        })
+        .collect();
 
-        // Stress: cold caches again, sixteen threads racing the same
-        // list against the shared cache layers.
-        grid::reset_all();
-        let docs: Vec<String> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..THREADS)
-                .map(|_| scope.spawn(|| run_and_render(mode_name)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("stress thread"))
-                .collect()
-        });
-        for (i, doc) in docs.iter().enumerate() {
-            assert_eq!(
-                *doc, reference_doc,
-                "thread {i} manifest diverged from the sequential run ({mode_name})"
-            );
-        }
+    // Stress: cold caches again, sixteen threads — half in each
+    // scheduler mode — racing the same list against the shared caches.
+    grid::reset_all();
+    let docs: Vec<String> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|i| scope.spawn(move || run_and_render(MODES[i % 2])))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("stress thread"))
+            .collect()
+    });
+    for (i, doc) in docs.iter().enumerate() {
+        assert_eq!(
+            *doc,
+            reference_docs[i % 2],
+            "thread {i} manifest diverged from the sequential run ({:?})",
+            MODES[i % 2]
+        );
     }
-    // Leave the process the way we found it for any sibling binaries.
-    force_per_quantum_reference(false);
     grid::reset_all();
 }
