@@ -23,6 +23,7 @@
 
 use std::io::Write;
 use std::time::{Duration, Instant};
+use vgrid_simobs::json;
 
 /// Throughput annotation for a benchmark group.
 #[derive(Debug, Clone, Copy)]
@@ -122,9 +123,9 @@ pub fn report_metric(group: &str, id: &str, metric: &str, value: f64) {
     println!("{group}/{id}: {metric} = {value}");
     write_json_line(&format!(
         "{{\"type\":\"metric\",\"group\":{},\"id\":{},\"metric\":{},\"value\":{}}}",
-        json_str(group),
-        json_str(id),
-        json_str(metric),
+        json::string(group),
+        json::string(id),
+        json::string(metric),
         value,
     ));
 }
@@ -133,18 +134,6 @@ fn quick_mode() -> bool {
     std::env::var("VGRID_BENCH_QUICK")
         .map(|v| v == "1")
         .unwrap_or(false)
-}
-
-fn json_str(s: &str) -> String {
-    let escaped: String = s
-        .chars()
-        .flat_map(|c| match c {
-            '"' | '\\' => vec!['\\', c],
-            '\n' => vec!['\\', 'n'],
-            c => vec![c],
-        })
-        .collect();
-    format!("\"{escaped}\"")
 }
 
 fn write_json_line(line: &str) {
@@ -186,8 +175,8 @@ fn report(group: &str, id: &str, samples: &[Duration], throughput: Option<Throug
     let max = sorted[sorted.len() - 1];
     write_json_line(&format!(
         "{{\"type\":\"bench\",\"group\":{},\"id\":{},\"mean_ns\":{},\"median_ns\":{},\"min_ns\":{},\"max_ns\":{},\"n\":{}}}",
-        json_str(group),
-        json_str(id),
+        json::string(group),
+        json::string(id),
         mean * 1e9,
         med * 1e9,
         min * 1e9,
@@ -275,8 +264,10 @@ mod tests {
 
     #[test]
     fn json_strings_are_escaped() {
-        assert_eq!(json_str("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_str("plain"), "\"plain\"");
+        assert_eq!(json::string("a\"b\\c"), "\"a\\\"b\\\\c\"");
+        assert_eq!(json::string("plain"), "\"plain\"");
+        assert_eq!(json::string("a\tb"), "\"a\\tb\"");
+        assert_eq!(json::string("\u{1}"), "\"\\u0001\"");
     }
 
     #[test]

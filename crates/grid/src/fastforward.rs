@@ -1,5 +1,5 @@
 //! Whole-trial analytic fast-forward: cross-sweep memoization, prefix
-//! trajectory reuse, and arena-batched repetitions.
+//! trajectory reuse, and the lazy work queue.
 //!
 //! The paper's figures are parameter sweeps (VMM × workload ×
 //! checkpoint interval × churn), and neighbouring sweep points re-run
@@ -16,10 +16,9 @@
 //!    same configuration with a longer horizon resumes from the stored
 //!    prefix instead of t=0. This is what turns the engine's
 //!    whole-`TrialResult` cache into partial-trajectory reuse.
-//! 3. **Campaign arena** — a thread-local buffer pool recycling the
-//!    per-repetition host/copy/event scratch vectors, so batched
-//!    independent repetitions stop paying a fresh round of large
-//!    allocations per trial.
+//!
+//! The module also holds the campaign's lazy [`WorkQueue`], which
+//! materializes a fresh task copy only when a host takes it.
 //!
 //! Everything here is behaviour-transparent by contract: the
 //! hydrated-reference substrate and `RunOptions::fastforward(false)`
@@ -28,8 +27,7 @@
 
 use crate::faults::ChurnConfig;
 use crate::model::{DeployConfig, ExecutionMode, PoolConfig, ProjectConfig};
-use crate::sim::{CampaignCheckpoint, HostSlot, TaskCopy, Work};
-use std::cell::RefCell;
+use crate::sim::{CampaignCheckpoint, TaskCopy, Work};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -272,12 +270,7 @@ impl WorkQueue {
         };
         for wu_idx in 0..project.workunits as usize {
             for _ in 0..project.replication {
-                copies.push(TaskCopy {
-                    wu: wu_idx,
-                    returned: false,
-                    cpu_spent: 0.0,
-                    rescued: false,
-                });
+                copies.push(TaskCopy::new(wu_idx));
                 queue.back.push_back(Work::Fresh(copies.len() - 1));
                 validator.note_issued(wu_idx);
             }
@@ -298,12 +291,7 @@ impl WorkQueue {
         if self.fresh_next < self.fresh_total {
             let wu_idx = (self.fresh_next / self.replication) as usize;
             self.fresh_next += 1;
-            copies.push(TaskCopy {
-                wu: wu_idx,
-                returned: false,
-                cpu_spent: 0.0,
-                rescued: false,
-            });
+            copies.push(TaskCopy::new(wu_idx));
             validator.note_issued(wu_idx);
             return Some(Work::Fresh(copies.len() - 1));
         }
@@ -326,42 +314,9 @@ impl WorkQueue {
     }
 }
 
-// ---------------------------------------------------------------------
-// Campaign arena.
-// ---------------------------------------------------------------------
-
-/// Thread-local buffer pool recycling the per-repetition scratch
-/// allocations of the campaign loop. Lifetime contract (DESIGN.md §13):
-/// buffers are taken at campaign start, owned exclusively for the run,
-/// cleared (not shrunk) and returned at campaign end; trajectory
-/// snapshots are deep clones, never arena-backed, so a stored
-/// checkpoint can outlive any number of later arena reuses.
-#[derive(Debug, Default)]
-pub(crate) struct CampaignArena {
-    pub(crate) hosts: Vec<HostSlot>,
-    pub(crate) copies: Vec<TaskCopy>,
-}
-
-thread_local! {
-    // simlint: allow(send-clean) -- thread-confined by construction: buffers are taken and returned on one thread, and trajectory snapshots are deep clones, never arena-backed
-    static ARENA: RefCell<CampaignArena> = RefCell::new(CampaignArena::default());
-}
-
-/// Take the thread's arena buffers (empty, capacity retained).
-pub(crate) fn arena_take() -> CampaignArena {
-    ARENA.with(|cell| std::mem::take(&mut *cell.borrow_mut()))
-}
-
-/// Return buffers to the thread's arena for the next repetition.
-pub(crate) fn arena_put(mut arena: CampaignArena) {
-    arena.hosts.clear();
-    arena.copies.clear();
-    ARENA.with(|cell| *cell.borrow_mut() = arena);
-}
-
 /// Test hook, registered in `GLOBALS.toml`: clear every fast-forward
-/// reuse layer and counter (plus the archetype vm-factor memo and the
-/// calling thread's arena) so a test can force a provably cold state.
+/// reuse layer and counter (plus the archetype vm-factor memo) so a
+/// test can force a provably cold state.
 /// Locks are taken one at a time in rank order, never nested.
 pub fn reset_all() {
     *MEASURED_DILATION
@@ -375,7 +330,6 @@ pub fn reset_all() {
     TRAJECTORY_HITS.store(0, Ordering::SeqCst);
     TRAJECTORY_MISSES.store(0, Ordering::SeqCst);
     crate::archetype::reset_vm_factor_memo();
-    ARENA.with(|cell| *cell.borrow_mut() = CampaignArena::default());
 }
 
 #[cfg(test)]
@@ -464,17 +418,5 @@ mod tests {
         for wu in 0..3 {
             assert_eq!(lazy_v.issued(wu), eager_v.issued(wu));
         }
-    }
-
-    #[test]
-    fn arena_retains_capacity_across_runs() {
-        let mut arena = arena_take();
-        arena.hosts.reserve(64);
-        let cap = arena.hosts.capacity();
-        arena.hosts.clear();
-        arena_put(arena);
-        let again = arena_take();
-        assert!(again.hosts.capacity() >= cap, "capacity must be retained");
-        arena_put(again);
     }
 }

@@ -25,8 +25,10 @@
 //! calls, and no fault event is ever scheduled.
 
 use crate::archetype::{self, ArchetypeKey};
-use crate::checkpoint::{durable_progress, BackoffPolicy, BackoffState, QuorumValidator};
-use crate::fastforward::{self, CampaignArena, WorkQueue};
+use crate::checkpoint::{
+    durable_progress, BackoffPolicy, BackoffState, QuorumValidator, RecordOutcome,
+};
+use crate::fastforward::{self, WorkQueue};
 use crate::faults::{self, ChurnConfig};
 use crate::hydrate::{HydrationPool, ProbeSpec};
 use crate::migration;
@@ -135,9 +137,13 @@ pub(crate) struct HostSlot {
     /// A backoff refetch event is already in flight.
     refetch_pending: bool,
     backoff: BackoffState,
-    /// Index into the campaign's archetype table.
-    #[allow(dead_code)] // read by the census and future batched solvers
-    archetype: u32,
+}
+
+impl HostSlot {
+    /// Up, eligible, unpaused and between activities: able to take work.
+    fn is_idle(&self) -> bool {
+        self.up && !self.excluded && !self.paused && self.activity.is_none()
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -149,6 +155,18 @@ pub(crate) struct TaskCopy {
     /// The straggler-rescue policy re-homed this copy's checkpoint; a
     /// later validation counts as a rescue win.
     pub(crate) rescued: bool,
+}
+
+impl TaskCopy {
+    /// A freshly issued, not yet returned copy of work unit `wu`.
+    pub(crate) fn new(wu: usize) -> Self {
+        TaskCopy {
+            wu,
+            returned: false,
+            cpu_spent: 0.0,
+            rescued: false,
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -209,28 +227,37 @@ pub(crate) enum Ev {
     },
 }
 
-/// Churn context threaded through the helpers.
-struct FaultCtx<'a> {
+/// The borrowed per-run context every handler reads: the campaign's
+/// configuration plus the churn-derived policy, built once per run.
+/// Everything the loop mutates lives in [`SimState`].
+struct RunCtx<'a> {
+    project: &'a ProjectConfig,
+    pool: &'a PoolConfig,
+    deploy: &'a DeployConfig,
     churn: &'a ChurnConfig,
     backoff: BackoffPolicy,
     /// False when the churn config is fully inert: the simulator must
     /// take exactly the legacy code paths.
-    on: bool,
+    churn_on: bool,
+    horizon: SimTime,
 }
 
 /// Which host substrate executes a campaign. The two substrates are
-/// **bit-identical by contract**: they share every piece of
-/// host-stepping logic and differ only in the event-queue
-/// implementation and in whether the archetype solver's memo is
-/// consulted — both validated by the `hydration_equivalence` and
+/// **bit-identical by contract**: they run the same per-event handlers
+/// (`SimState`'s `on_*` methods) and differ only in the event-queue
+/// implementation, in whether the archetype solver's memo is consulted,
+/// and in whether fresh work copies materialize lazily or eagerly —
+/// all validated by the `hydration_equivalence` and
 /// `hydration_reference` test suites.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubstrateMode {
     /// Archetype-batched analytic substrate on the sharded calendar
-    /// queue with the memoized segment solver (the default).
+    /// queue with the memoized segment solver and the lazy work queue
+    /// (the default).
     Batched,
     /// Reference substrate: flat binary-heap event queue, solver
-    /// recomputed from scratch (`--hydrated-reference`).
+    /// recomputed from scratch, every copy issued up front
+    /// (`--hydrated-reference`).
     HydratedReference,
 }
 
@@ -253,38 +280,27 @@ pub(crate) fn run_campaign_substrate(
     horizon: SimTime,
     options: &RunOptions,
 ) -> GridReport {
+    let cx = RunCtx {
+        project,
+        pool,
+        deploy,
+        churn,
+        backoff: BackoffPolicy::default(),
+        churn_on: !churn.is_off(),
+        horizon,
+    };
     if options.substrate == SubstrateMode::HydratedReference {
-        return run_campaign_on(
-            project,
-            pool,
-            deploy,
-            churn,
-            seed,
-            horizon,
-            options,
-            EventQueue::new(),
-            None,
-        );
+        return run_campaign_on(&cx, seed, options, EventQueue::new(), None);
     }
     let key = options
         .fastforward
         .then(|| fastforward::trajectory_key(project, pool, deploy, churn, seed));
     if let Some(key) = &key {
         if let Some(ckpt) = fastforward::trajectory_lookup(key, horizon) {
-            return resume_campaign(project, pool, deploy, churn, horizon, options, key, ckpt);
+            return resume_campaign(&cx, options, key, ckpt);
         }
     }
-    run_campaign_on(
-        project,
-        pool,
-        deploy,
-        churn,
-        seed,
-        horizon,
-        options,
-        CalendarQueue::new(),
-        key.as_deref(),
-    )
+    run_campaign_on(&cx, seed, options, CalendarQueue::new(), key.as_deref())
 }
 
 /// Everything the campaign loop mutates, bundled so the loop exit can
@@ -292,6 +308,9 @@ pub(crate) fn run_campaign_substrate(
 /// Loop-invariant derived constants (`vm_factor`, `ckpt_frac`,
 /// `eligible_rate`, the probe spec) ride along so a resume never
 /// recomputes them in a different order.
+///
+/// Each [`Ev`] kind has one handler method (`on_up`, `on_down`, …);
+/// the handlers share the host-stepping helpers below them.
 #[derive(Debug, Clone)]
 pub(crate) struct SimState {
     hosts: Vec<HostSlot>,
@@ -305,6 +324,9 @@ pub(crate) struct SimState {
     copies: Vec<TaskCopy>,
     queue: WorkQueue,
     makespan: Option<SimTime>,
+    /// Hosts currently idle (up, eligible, unpaused, no activity) —
+    /// kept in lockstep with host state so server pushes touch only
+    /// the hosts that can take work instead of scanning the pool.
     idle: DetSet<u32>,
     /// Checkpoint exports currently crossing the server NIC; each new
     /// export contends with these (migration policy only — always zero
@@ -338,22 +360,12 @@ impl CampaignCheckpoint {
 /// preserves same-instant FIFO ties) and continue the identical loop.
 /// The snapshot may come from a run in the other scheduler mode, so
 /// the hydration pool takes this run's probe settings.
-#[allow(clippy::too_many_arguments)]
 fn resume_campaign(
-    project: &ProjectConfig,
-    pool: &PoolConfig,
-    deploy: &DeployConfig,
-    churn: &ChurnConfig,
-    horizon: SimTime,
+    cx: &RunCtx<'_>,
     options: &RunOptions,
     key: &str,
     ckpt: CampaignCheckpoint,
 ) -> GridReport {
-    let fctx = FaultCtx {
-        churn,
-        backoff: BackoffPolicy::default(),
-        on: !churn.is_off(),
-    };
     let CampaignCheckpoint {
         state: mut st,
         pending,
@@ -364,49 +376,41 @@ fn resume_campaign(
     for (time, ev) in pending {
         q.schedule(time, ev);
     }
-    let carried = run_loop(&mut st, &mut q, project, pool, deploy, &fctx, horizon);
-    store_and_finalize(st, q, carried, project, deploy, horizon, Some(key))
+    let carried = run_loop(&mut st, &mut q, cx);
+    store_and_finalize(st, q, carried, cx, Some(key))
 }
 
 /// The campaign loop, generic over the event-queue implementation so
-/// both substrates execute literally the same host-stepping code. With
+/// both substrates execute literally the same handlers. With
 /// `store_key` set (batched substrate, fast-forward on), the loop-exit
 /// state is snapshotted into the trajectory cache before accounting.
-#[allow(clippy::too_many_arguments)]
 fn run_campaign_on<Q: EventScheduler<Ev>>(
-    project: &ProjectConfig,
-    pool: &PoolConfig,
-    deploy: &DeployConfig,
-    churn: &ChurnConfig,
+    cx: &RunCtx<'_>,
     seed: u64,
-    horizon: SimTime,
     options: &RunOptions,
     mut q: Q,
     store_key: Option<&str>,
 ) -> GridReport {
-    let fctx = FaultCtx {
-        churn,
-        backoff: BackoffPolicy::default(),
-        on: !churn.is_off(),
-    };
-    let mut st = init_state(project, pool, deploy, churn, seed, options, &fctx, &mut q);
-    let carried = run_loop(&mut st, &mut q, project, pool, deploy, &fctx, horizon);
-    store_and_finalize(st, q, carried, project, deploy, horizon, store_key)
+    let mut st = init_state(cx, seed, options, &mut q);
+    let carried = run_loop(&mut st, &mut q, cx);
+    store_and_finalize(st, q, carried, cx, store_key)
 }
 
 /// Build the campaign's initial state and schedule the staggered
 /// power-ons — every random draw in the exact legacy order.
-#[allow(clippy::too_many_arguments)]
 fn init_state<Q: EventScheduler<Ev>>(
-    project: &ProjectConfig,
-    pool: &PoolConfig,
-    deploy: &DeployConfig,
-    churn: &ChurnConfig,
+    cx: &RunCtx<'_>,
     seed: u64,
     options: &RunOptions,
-    fctx: &FaultCtx<'_>,
     q: &mut Q,
 ) -> SimState {
+    let RunCtx {
+        project,
+        pool,
+        deploy,
+        churn,
+        ..
+    } = *cx;
     let rng = SimRng::new(seed ^ 0x617d_517d);
     // Per-archetype segment solve. The batched substrate consults the
     // process-wide memo; the reference substrate recomputes from
@@ -446,51 +450,46 @@ fn init_state<Q: EventScheduler<Ev>>(
 
     // Build hosts, bucketing each into its archetype as we go (an
     // index map instead of per-host label strings: a million-host pool
-    // collapses to a handful of archetypes). Host/copy buffers come
-    // from the thread's campaign arena, capacity recycled across
-    // batched repetitions.
-    let CampaignArena {
-        mut hosts,
-        copies: mut copies_buf,
-    } = fastforward::arena_take();
+    // collapses to a handful of archetypes).
     let cclass = archetype::churn_class(churn);
     let mut arch_index: DetMap<(u16, bool), u32> = DetMap::new();
     let mut arch_keys: Vec<ArchetypeKey> = Vec::new();
     let mut arch_counts: Vec<u32> = Vec::new();
-    hosts.extend((0..pool.volunteers).map(|i| {
-        let mut hrng = rng.fork(1000 + i as u64);
-        // Fork the fault stream *before* the legacy draws; forking
-        // never advances `hrng`, so speed/RAM draws are unchanged.
-        let frng = hrng.fork(77);
-        let speed = hrng.range_f64(pool.speed_range.0, pool.speed_range.1);
-        let ram = pool.ram_range.0 + hrng.next_below(pool.ram_range.1 - pool.ram_range.0 + 1);
-        let excluded = guest_ram > 0 && ram < guest_ram + deploy.host_headroom_bytes;
-        let band = archetype::speed_band(speed);
-        let arch = *arch_index.or_insert_with((band, !excluded), || {
-            arch_keys.push(ArchetypeKey::new(deploy, &cclass, band, !excluded));
-            arch_counts.push(0);
-            (arch_keys.len() - 1) as u32
-        });
-        arch_counts[arch as usize] += 1;
-        HostSlot {
-            speed,
-            excluded,
-            up: false,
-            life_gen: 0,
-            act_gen: 0,
-            has_image: deploy.image_bytes == 0,
-            activity: None,
-            act_started: SimTime::ZERO,
-            up_since: SimTime::ZERO,
-            uptime_total: 0.0,
-            rng: hrng,
-            frng,
-            paused: false,
-            refetch_pending: false,
-            backoff: BackoffState::new(&fctx.backoff),
-            archetype: arch,
-        }
-    }));
+    let mut hosts: Vec<HostSlot> = (0..pool.volunteers)
+        .map(|i| {
+            let mut hrng = rng.fork(1000 + i as u64);
+            // Fork the fault stream *before* the legacy draws; forking
+            // never advances `hrng`, so speed/RAM draws are unchanged.
+            let frng = hrng.fork(77);
+            let speed = hrng.range_f64(pool.speed_range.0, pool.speed_range.1);
+            let ram = pool.ram_range.0 + hrng.next_below(pool.ram_range.1 - pool.ram_range.0 + 1);
+            let excluded = guest_ram > 0 && ram < guest_ram + deploy.host_headroom_bytes;
+            let band = archetype::speed_band(speed);
+            let arch = *arch_index.or_insert_with((band, !excluded), || {
+                arch_keys.push(ArchetypeKey::new(deploy, &cclass, band, !excluded));
+                arch_counts.push(0);
+                (arch_keys.len() - 1) as u32
+            });
+            arch_counts[arch as usize] += 1;
+            HostSlot {
+                speed,
+                excluded,
+                up: false,
+                life_gen: 0,
+                act_gen: 0,
+                has_image: deploy.image_bytes == 0,
+                activity: None,
+                act_started: SimTime::ZERO,
+                up_since: SimTime::ZERO,
+                uptime_total: 0.0,
+                rng: hrng,
+                frng,
+                paused: false,
+                refetch_pending: false,
+                backoff: BackoffState::new(&cx.backoff),
+            }
+        })
+        .collect();
     report.hosts_excluded_ram = hosts.iter().filter(|h| h.excluded).count() as u32;
     // Canonical archetype census: sorted by key, not first-seen order.
     let mut census: Vec<(ArchetypeKey, u32)> = arch_keys.into_iter().zip(arch_counts).collect();
@@ -509,12 +508,12 @@ fn init_state<Q: EventScheduler<Ev>>(
     // and fast-forward off run the legacy eager setup. Copy indices are
     // internal lookup keys, so the two schemes are report-identical.
     let mut validator = QuorumValidator::new(project.workunits, project.quorum);
+    let mut copies = Vec::new();
     let queue = if fast {
         WorkQueue::lazy(project)
     } else {
-        WorkQueue::eager(project, &mut copies_buf, &mut validator)
+        WorkQueue::eager(project, &mut copies, &mut validator)
     };
-    let copies = copies_buf;
 
     // Stagger initial power-ons.
     for (h, host) in hosts.iter_mut().enumerate() {
@@ -534,9 +533,6 @@ fn init_state<Q: EventScheduler<Ev>>(
         copies,
         queue,
         makespan: None,
-        // Hosts currently idle (up, eligible, unpaused, no activity) —
-        // kept in lockstep with host state so server pushes touch only
-        // the hosts that can take work instead of scanning the pool.
         idle: DetSet::new(),
         inflight_xfers: 0,
         transfer_base_secs: migration::transfer_wire_secs(archetype::checkpoint_state_bytes(
@@ -551,563 +547,915 @@ fn init_state<Q: EventScheduler<Ev>>(
 fn run_loop<Q: EventScheduler<Ev>>(
     st: &mut SimState,
     q: &mut Q,
-    project: &ProjectConfig,
-    pool: &PoolConfig,
-    deploy: &DeployConfig,
-    fctx: &FaultCtx<'_>,
-    horizon: SimTime,
+    cx: &RunCtx<'_>,
 ) -> Option<(SimTime, Ev)> {
-    let vm_factor = st.vm_factor;
-    let ckpt_frac = st.ckpt_frac;
-    let transfer_base_secs = st.transfer_base_secs;
-    let SimState {
-        hosts,
-        report,
-        hpool,
-        probe,
-        validator,
-        copies,
-        queue,
-        makespan,
-        idle,
-        inflight_xfers,
-        ..
-    } = st;
-    // --- helpers as closures are awkward with borrows; use a macro-free
-    // imperative loop with inline logic. ---
-    #[allow(clippy::needless_range_loop)] // hosts indexed by stable id
     while let Some((now, ev)) = q.pop() {
-        if now > horizon || (makespan.is_some() && validator.validated_count() >= project.workunits)
-        {
+        let quorum_met =
+            st.makespan.is_some() && st.validator.validated_count() >= cx.project.workunits;
+        if now > cx.horizon || quorum_met {
             return Some((now, ev));
         }
         match ev {
-            Ev::Up { h, gen } => {
-                if gen != hosts[h].life_gen || hosts[h].excluded {
-                    continue;
-                }
-                report.fault_transitions += 1;
-                hosts[h].up = true;
-                hosts[h].paused = false;
-                hosts[h].up_since = now;
-                // `sample_span` with shape 1 *is* the legacy exponential
-                // call, and a unit uptime factor is an exact multiply.
-                let span = faults::sample_span(
-                    &mut hosts[h].rng,
-                    fctx.churn.availability_shape,
-                    pool.mean_uptime_secs * fctx.churn.uptime_factor,
-                );
-                hosts[h].life_gen += 1;
-                let gen = hosts[h].life_gen;
-                q.schedule(now + SimDuration::from_secs_f64(span), Ev::Down { h, gen });
-                // Arm this up-span's fault processes (never under zero
-                // churn: the event stream must stay byte-identical).
-                if fctx.churn.owner_arrival_mean_secs > 0.0 {
-                    let gap = hosts[h]
-                        .frng
-                        .exponential(fctx.churn.owner_arrival_mean_secs);
-                    q.schedule(
-                        now + SimDuration::from_secs_f64(gap),
-                        Ev::OwnerArrive { h, gen },
-                    );
-                }
-                if fctx.churn.vm_kill_mean_secs > 0.0 {
-                    let wait = hosts[h].frng.exponential(fctx.churn.vm_kill_mean_secs);
-                    q.schedule(
-                        now + SimDuration::from_secs_f64(wait),
-                        Ev::VmKill { h, gen },
-                    );
-                }
-                // Resume or acquire work.
-                start_next_activity(
-                    h, now, hosts, queue, copies, validator, project, pool, deploy, q, vm_factor,
-                    ckpt_frac, fctx, report,
-                );
-                sync_idle(idle, hosts, h);
-            }
-            Ev::Down { h, gen } => {
-                if gen != hosts[h].life_gen {
-                    continue;
-                }
-                // A failure mid-compute is an interesting event: hydrate
-                // a probe window before the ledger absorbs it.
-                if matches!(hosts[h].activity, Some(Activity::Compute { .. })) {
-                    hpool.window(probe, archetype::speed_band(hosts[h].speed));
-                }
-                report.fault_transitions += 1;
-                hosts[h].up = false;
-                hosts[h].uptime_total += now.since(hosts[h].up_since).as_secs_f64();
-                // Interrupt the activity, preserving resumable progress.
-                // A paused host accrued everything at pause time.
-                if !hosts[h].paused {
-                    accrue_activity(
-                        h, now, hosts, copies, pool, deploy, vm_factor, ckpt_frac, false, report,
-                    );
-                }
-                hosts[h].paused = false;
-                hosts[h].act_gen += 1; // cancel any pending ActDone
-                if deploy.migrate_on_churn {
-                    if let Some(Activity::Compute {
-                        task,
-                        remaining_ref,
-                        ..
-                    }) = hosts[h].activity
-                    {
-                        // Ship the checkpointed state back through the
-                        // server; any volunteer may pick it up. Resumes
-                        // jump the queue: finishing started work beats
-                        // starting fresh copies (BOINC's deadline-driven
-                        // scheduling has the same effect).
-                        hosts[h].activity = None;
-                        queue.push_front(Work::Resume {
-                            copy: task,
-                            remaining_ref,
-                        });
-                        report.migrations += 1;
-                        kick_idle_hosts(
-                            now, idle, hosts, queue, copies, validator, project, pool, deploy, q,
-                            vm_factor, ckpt_frac, fctx, report,
-                        );
-                    }
-                }
-                if hosts[h].rng.chance(pool.permanent_failure_prob) {
-                    // The volunteer never returns; its task (if any) is
-                    // stranded until the server's deadline reissues it.
-                    hosts[h].excluded = true;
-                    sync_idle(idle, hosts, h);
-                    continue;
-                }
-                let span = faults::sample_span(
-                    &mut hosts[h].rng,
-                    fctx.churn.availability_shape,
-                    pool.mean_downtime_secs,
-                );
-                hosts[h].life_gen += 1;
-                let gen = hosts[h].life_gen;
-                q.schedule(now + SimDuration::from_secs_f64(span), Ev::Up { h, gen });
-                sync_idle(idle, hosts, h);
-            }
-            Ev::ActDone { h, gen } => {
-                if gen != hosts[h].act_gen || !hosts[h].up {
-                    continue;
-                }
-                // Finish the current activity.
-                let Some(act) = hosts[h].activity.take() else {
-                    continue;
-                };
-                match act {
-                    Activity::ImageDl { .. } => {
-                        hosts[h].has_image = true;
-                        report.image_transfer_secs += now.since(hosts[h].act_started).as_secs_f64();
-                    }
-                    Activity::StateDl {
-                        task,
-                        remaining_ref,
-                        ..
-                    } => {
-                        hosts[h].activity = Some(Activity::Compute {
-                            task,
-                            remaining_ref,
-                            progress_ref: project.wu_ref_secs - remaining_ref,
-                        });
-                        hosts[h].act_started = now;
-                        let rate = compute_rate(&hosts[h], vm_factor, ckpt_frac);
-                        hosts[h].act_gen += 1;
-                        let gen = hosts[h].act_gen;
-                        q.schedule(
-                            now + SimDuration::from_secs_f64(remaining_ref / rate),
-                            Ev::ActDone { h, gen },
-                        );
-                        arm_evac_check(h, now, hosts, deploy, fctx, q);
-                        continue;
-                    }
-                    Activity::InputDl { task, .. } => {
-                        let wu = copies[task].wu;
-                        let remaining_ref = project.wu_ref_secs;
-                        hosts[h].activity = Some(Activity::Compute {
-                            task,
-                            remaining_ref,
-                            progress_ref: 0.0,
-                        });
-                        hosts[h].act_started = now;
-                        let rate = compute_rate(&hosts[h], vm_factor, ckpt_frac);
-                        hosts[h].act_gen += 1;
-                        let gen = hosts[h].act_gen;
-                        q.schedule(
-                            now + SimDuration::from_secs_f64(remaining_ref / rate),
-                            Ev::ActDone { h, gen },
-                        );
-                        arm_evac_check(h, now, hosts, deploy, fctx, q);
-                        let _ = wu;
-                        continue;
-                    }
-                    Activity::Compute {
-                        task,
-                        remaining_ref,
-                        progress_ref,
-                    } => {
-                        // Task completion: hydrate a probe window to
-                        // check the ledger's rate against a real system.
-                        hpool.window(probe, archetype::speed_band(hosts[h].speed));
-                        // Account the CPU time of the final stretch.
-                        let elapsed = now.since(hosts[h].act_started).as_secs_f64();
-                        report.cpu_secs_spent += elapsed;
-                        copies[task].cpu_spent += elapsed;
-                        let _ = (remaining_ref, progress_ref);
-                        hosts[h].activity = Some(Activity::Upload {
-                            remaining: project.wu_output_bytes as f64,
-                            task,
-                        });
-                        hosts[h].act_started = now;
-                        hosts[h].act_gen += 1;
-                        let gen = hosts[h].act_gen;
-                        q.schedule(
-                            now + SimDuration::from_secs_f64(
-                                project.wu_output_bytes as f64 / pool.up_bw,
-                            ),
-                            Ev::ActDone { h, gen },
-                        );
-                        continue;
-                    }
-                    Activity::Upload { task, .. } => {
-                        // Report the result to the server.
-                        copies[task].returned = true;
-                        report.results_returned += 1;
-                        let wu_idx = copies[task].wu;
-                        let good = !hosts[h].rng.chance(project.error_rate);
-                        use crate::checkpoint::RecordOutcome;
-                        match validator.record(wu_idx, good, copies[task].cpu_spent) {
-                            RecordOutcome::NewlyValidated => {
-                                // A quorum decision is an interesting
-                                // event: hydrate a probe window.
-                                hpool.window(probe, archetype::speed_band(hosts[h].speed));
-                                if copies[task].rescued {
-                                    report.rescue_wins += 1;
-                                }
-                                if validator.validated_count() >= project.workunits {
-                                    *makespan = Some(now);
-                                }
-                            }
-                            RecordOutcome::Rejected => {
-                                report.bad_results += 1;
-                                // Replace the bad copy.
-                                copies.push(TaskCopy {
-                                    wu: wu_idx,
-                                    returned: false,
-                                    cpu_spent: 0.0,
-                                    rescued: false,
-                                });
-                                queue.push_back(Work::Fresh(copies.len() - 1));
-                                validator.note_issued(wu_idx);
-                                // The reporting host is between
-                                // activities right now — it competes
-                                // for the replacement copy in id order
-                                // like any other idle host.
-                                sync_idle(idle, hosts, h);
-                                kick_idle_hosts(
-                                    now, idle, hosts, queue, copies, validator, project, pool,
-                                    deploy, q, vm_factor, ckpt_frac, fctx, report,
-                                );
-                            }
-                            RecordOutcome::Counted | RecordOutcome::Late => {}
-                        }
-                    }
-                }
-                // Acquire the next piece of work.
-                start_next_activity(
-                    h, now, hosts, queue, copies, validator, project, pool, deploy, q, vm_factor,
-                    ckpt_frac, fctx, report,
-                );
-                sync_idle(idle, hosts, h);
-            }
-            Ev::Deadline { copy } => {
-                if !copies[copy].returned && !validator.is_validated(copies[copy].wu) {
-                    let wu = copies[copy].wu;
-                    copies.push(TaskCopy {
-                        wu,
-                        returned: false,
-                        cpu_spent: 0.0,
-                        rescued: false,
-                    });
-                    queue.push_back(Work::Fresh(copies.len() - 1));
-                    validator.note_issued(wu);
-                    report.reissues += 1;
-                    kick_idle_hosts(
-                        now, idle, hosts, queue, copies, validator, project, pool, deploy, q,
-                        vm_factor, ckpt_frac, fctx, report,
-                    );
-                }
-            }
-            Ev::OwnerArrive { h, gen } => {
-                if gen != hosts[h].life_gen || !hosts[h].up || hosts[h].excluded {
-                    continue;
-                }
-                // An owner preempting live work is an interesting event.
-                if !hosts[h].paused && hosts[h].activity.is_some() {
-                    hpool.window(probe, archetype::speed_band(hosts[h].speed));
-                }
-                report.owner_preemptions += 1;
-                report.fault_transitions += 1;
-                let kills = hosts[h].frng.chance(fctx.churn.preempt_kill_prob);
-                if !hosts[h].paused {
-                    if hosts[h].activity.is_some() {
-                        // VM sandboxes suspend in place (durable .vmss-style
-                        // state: nothing is lost); native apps are preempted
-                        // and roll back to their last checkpoint.
-                        let preserve = matches!(deploy.mode, ExecutionMode::Vm(_));
-                        accrue_activity(
-                            h, now, hosts, copies, pool, deploy, vm_factor, ckpt_frac, preserve,
-                            report,
-                        );
-                        hosts[h].act_gen += 1; // cancel the pending ActDone
-                    }
-                    hosts[h].paused = true;
-                }
-                if kills {
-                    kill_task(
-                        h, now, hosts, copies, pool, deploy, vm_factor, ckpt_frac, report,
-                    );
-                }
-                let session = hosts[h]
-                    .frng
-                    .exponential(fctx.churn.owner_session_mean_secs);
-                q.schedule(
-                    now + SimDuration::from_secs_f64(session),
-                    Ev::OwnerLeave { h, gen },
-                );
-                sync_idle(idle, hosts, h);
-            }
-            Ev::OwnerLeave { h, gen } => {
-                if gen != hosts[h].life_gen || !hosts[h].up || hosts[h].excluded {
-                    continue;
-                }
-                report.fault_transitions += 1;
-                hosts[h].paused = false;
-                // Resume the preempted activity (or fetch fresh work).
-                start_next_activity(
-                    h, now, hosts, queue, copies, validator, project, pool, deploy, q, vm_factor,
-                    ckpt_frac, fctx, report,
-                );
-                let gap = hosts[h]
-                    .frng
-                    .exponential(fctx.churn.owner_arrival_mean_secs);
-                q.schedule(
-                    now + SimDuration::from_secs_f64(gap),
-                    Ev::OwnerArrive { h, gen },
-                );
-                sync_idle(idle, hosts, h);
-            }
-            Ev::VmKill { h, gen } => {
-                if gen != hosts[h].life_gen || !hosts[h].up || hosts[h].excluded {
-                    continue;
-                }
-                report.fault_transitions += 1;
-                if hosts[h].activity.is_some() {
-                    // A sandbox kill with live work is an interesting
-                    // event.
-                    hpool.window(probe, archetype::speed_band(hosts[h].speed));
-                    kill_task(
-                        h, now, hosts, copies, pool, deploy, vm_factor, ckpt_frac, report,
-                    );
-                    // Restart from the rolled-back state (no-op while the
-                    // owner holds the machine: OwnerLeave resumes it).
-                    start_next_activity(
-                        h, now, hosts, queue, copies, validator, project, pool, deploy, q,
-                        vm_factor, ckpt_frac, fctx, report,
-                    );
-                }
-                let wait = hosts[h].frng.exponential(fctx.churn.vm_kill_mean_secs);
-                q.schedule(
-                    now + SimDuration::from_secs_f64(wait),
-                    Ev::VmKill { h, gen },
-                );
-                sync_idle(idle, hosts, h);
-            }
-            Ev::Refetch { h } => {
-                hosts[h].refetch_pending = false;
-                if !hosts[h].up
-                    || hosts[h].excluded
-                    || hosts[h].paused
-                    || hosts[h].activity.is_some()
-                {
-                    continue;
-                }
-                start_next_activity(
-                    h, now, hosts, queue, copies, validator, project, pool, deploy, q, vm_factor,
-                    ckpt_frac, fctx, report,
-                );
-                sync_idle(idle, hosts, h);
-            }
-            Ev::RescueCheck { copy, deadline } => {
-                if copies[copy].returned || validator.is_validated(copies[copy].wu) {
-                    continue;
-                }
-                // Locate the copy's holder. Only a computing holder has
-                // checkpointed state worth exporting; a copy still in
-                // the queue or mid-download is left to the deadline.
-                let Some(holder) = hosts.iter().position(
-                    |s| matches!(s.activity, Some(Activity::Compute { task, .. }) if task == copy),
-                ) else {
-                    continue;
-                };
-                let stranded = !hosts[holder].up || hosts[holder].paused;
-                if !stranded {
-                    // The holder is live: rescue only a projected miss,
-                    // and only when a strictly faster host sits idle.
-                    let rate = compute_rate(&hosts[holder], vm_factor, ckpt_frac);
-                    let Some(Activity::Compute { remaining_ref, .. }) = hosts[holder].activity
-                    else {
-                        continue;
-                    };
-                    let elapsed = now.since(hosts[holder].act_started).as_secs_f64();
-                    let live_remaining = remaining_ref - elapsed * rate;
-                    let projected =
-                        now + SimDuration::from_secs_f64((live_remaining / rate).max(0.0));
-                    if projected <= deadline {
-                        continue;
-                    }
-                    let holder_speed = hosts[holder].speed;
-                    if !idle.iter().any(|&i| hosts[i as usize].speed > holder_speed) {
-                        continue;
-                    }
-                }
-                // A straggler preempted live is an interesting event.
-                if !stranded {
-                    hpool.window(probe, archetype::speed_band(hosts[holder].speed));
-                }
-                if export_checkpoint(
-                    holder,
-                    now,
-                    hosts,
-                    copies,
-                    pool,
-                    deploy,
-                    vm_factor,
-                    ckpt_frac,
-                    !stranded,
-                    transfer_base_secs,
-                    inflight_xfers,
-                    report,
-                    q,
-                ) {
-                    copies[copy].rescued = true;
-                    report.migrations += 1;
-                    if !stranded {
-                        // The freed host competes for other work.
-                        start_next_activity(
-                            holder, now, hosts, queue, copies, validator, project, pool, deploy, q,
-                            vm_factor, ckpt_frac, fctx, report,
-                        );
-                    }
-                    sync_idle(idle, hosts, holder);
-                }
-            }
-            Ev::EvacCheck { h, gen } => {
-                if gen != hosts[h].act_gen || !hosts[h].up || hosts[h].paused {
-                    continue;
-                }
-                let Some(Activity::Compute {
-                    remaining_ref,
-                    progress_ref,
-                    ..
-                }) = hosts[h].activity
-                else {
-                    continue;
-                };
-                let rate = compute_rate(&hosts[h], vm_factor, ckpt_frac);
-                let elapsed = now.since(hosts[h].act_started).as_secs_f64();
-                let live_remaining = remaining_ref - elapsed * rate;
-                if live_remaining <= 0.0 {
-                    continue; // finishing imminently; let ActDone land
-                }
-                // Evacuating pays a transfer and a re-download; it only
-                // ever wins when at least one durable quantum exists.
-                let quantum = deploy.checkpoint_interval.as_secs_f64() * rate;
-                let durable =
-                    durable_progress(progress_ref + elapsed * rate, progress_ref, quantum);
-                let hazard = migration::interruption_hazard(
-                    fctx.churn,
-                    pool.mean_uptime_secs,
-                    now.since(hosts[h].up_since).as_secs_f64(),
-                    live_remaining / rate,
-                );
-                if durable <= 0.0 || hazard < deploy.migration.hazard_threshold {
-                    // Re-arm for the next checkpoint quantum; the
-                    // act_gen guard retires the chain on interruption.
-                    q.schedule(now + deploy.checkpoint_interval, Ev::EvacCheck { h, gen });
-                    continue;
-                }
-                // Evacuate only toward predicted safety: an idle host at
-                // least as fast whose own hazard over the same work
-                // window sits below the threshold. Without such a home
-                // the export would burn NIC time to move the task
-                // between equally doomed hosts — at extreme churn nobody
-                // qualifies and the policy holds still.
-                let safe_home = idle.iter().any(|&i| {
-                    let cand = &hosts[i as usize];
-                    if cand.speed < hosts[h].speed {
-                        return false;
-                    }
-                    let cand_rate = compute_rate(cand, vm_factor, ckpt_frac);
-                    migration::interruption_hazard(
-                        fctx.churn,
-                        pool.mean_uptime_secs,
-                        now.since(cand.up_since).as_secs_f64(),
-                        live_remaining / cand_rate,
-                    ) < deploy.migration.hazard_threshold
-                });
-                if !safe_home {
-                    q.schedule(now + deploy.checkpoint_interval, Ev::EvacCheck { h, gen });
-                    continue;
-                }
-                hpool.window(probe, archetype::speed_band(hosts[h].speed));
-                if export_checkpoint(
-                    h,
-                    now,
-                    hosts,
-                    copies,
-                    pool,
-                    deploy,
-                    vm_factor,
-                    ckpt_frac,
-                    true,
-                    transfer_base_secs,
-                    inflight_xfers,
-                    report,
-                    q,
-                ) {
-                    report.evacuations += 1;
-                    start_next_activity(
-                        h, now, hosts, queue, copies, validator, project, pool, deploy, q,
-                        vm_factor, ckpt_frac, fctx, report,
-                    );
-                    sync_idle(idle, hosts, h);
-                }
-            }
+            Ev::Up { h, gen } => st.on_up(cx, q, now, h, gen),
+            Ev::Down { h, gen } => st.on_down(cx, q, now, h, gen),
+            Ev::ActDone { h, gen } => st.on_act_done(cx, q, now, h, gen),
+            Ev::Deadline { copy } => st.on_deadline(cx, q, now, copy),
+            Ev::OwnerArrive { h, gen } => st.on_owner_arrive(cx, q, now, h, gen),
+            Ev::OwnerLeave { h, gen } => st.on_owner_leave(cx, q, now, h, gen),
+            Ev::VmKill { h, gen } => st.on_vm_kill(cx, q, now, h, gen),
+            Ev::Refetch { h } => st.on_refetch(cx, q, now, h),
+            Ev::RescueCheck { copy, deadline } => st.on_rescue_check(cx, q, now, copy, deadline),
+            Ev::EvacCheck { h, gen } => st.on_evac_check(cx, q, now, h, gen),
             Ev::XferDone {
                 copy,
                 remaining_ref,
-            } => {
-                // The server NIC slot frees whether or not the state is
-                // still useful.
-                *inflight_xfers = inflight_xfers.saturating_sub(1);
-                if copies[copy].returned || validator.is_validated(copies[copy].wu) {
-                    continue;
-                }
-                // Re-homed state jumps the queue, like PR 4 migration:
-                // finishing started work beats starting fresh copies.
-                queue.push_front(Work::Resume {
-                    copy,
-                    remaining_ref,
-                });
-                kick_idle_hosts(
-                    now, idle, hosts, queue, copies, validator, project, pool, deploy, q,
-                    vm_factor, ckpt_frac, fctx, report,
-                );
-            }
+            } => st.on_xfer_done(cx, q, now, copy, remaining_ref),
         }
     }
     None
+}
+
+/// Schedule `ev` at `now + d`. An instant past `SimTime`'s range lies
+/// beyond every representable horizon, so such an event could never be
+/// popped: it is dropped instead of overflowing. (Low churn levels draw
+/// owner and kill gaps that long, and a spec may set such a deadline.)
+fn schedule_in<Q: EventScheduler<Ev>>(q: &mut Q, now: SimTime, d: SimDuration, ev: Ev) {
+    if let Some(at) = now.checked_add(d) {
+        q.schedule(at, ev);
+    }
+}
+
+impl SimState {
+    /// The host powers on: arm its next power-off and this up-span's
+    /// fault processes, then resume or acquire work.
+    fn on_up<Q: EventScheduler<Ev>>(
+        &mut self,
+        cx: &RunCtx<'_>,
+        q: &mut Q,
+        now: SimTime,
+        h: usize,
+        gen: u64,
+    ) {
+        let host = &mut self.hosts[h];
+        if gen != host.life_gen || host.excluded {
+            return;
+        }
+        self.report.fault_transitions += 1;
+        host.up = true;
+        host.paused = false;
+        host.up_since = now;
+        // `sample_span` with shape 1 *is* the legacy exponential call,
+        // and a unit uptime factor is an exact multiply.
+        let span = faults::sample_span(
+            &mut host.rng,
+            cx.churn.availability_shape,
+            cx.pool.mean_uptime_secs * cx.churn.uptime_factor,
+        );
+        host.life_gen += 1;
+        let gen = host.life_gen;
+        schedule_in(
+            q,
+            now,
+            SimDuration::from_secs_f64(span),
+            Ev::Down { h, gen },
+        );
+        // Arm this up-span's fault processes (never under zero churn:
+        // the event stream must stay byte-identical).
+        if cx.churn.owner_arrival_mean_secs > 0.0 {
+            let gap = host.frng.exponential(cx.churn.owner_arrival_mean_secs);
+            let ev = Ev::OwnerArrive { h, gen };
+            schedule_in(q, now, SimDuration::from_secs_f64(gap), ev);
+        }
+        if cx.churn.vm_kill_mean_secs > 0.0 {
+            let wait = host.frng.exponential(cx.churn.vm_kill_mean_secs);
+            schedule_in(
+                q,
+                now,
+                SimDuration::from_secs_f64(wait),
+                Ev::VmKill { h, gen },
+            );
+        }
+        self.start_next_activity(cx, q, now, h);
+        self.sync_idle(h);
+    }
+
+    /// The host goes offline: interrupt its activity (migrating the
+    /// checkpoint when the deploy asks), then either retire the
+    /// volunteer for good or schedule its return.
+    fn on_down<Q: EventScheduler<Ev>>(
+        &mut self,
+        cx: &RunCtx<'_>,
+        q: &mut Q,
+        now: SimTime,
+        h: usize,
+        gen: u64,
+    ) {
+        if gen != self.hosts[h].life_gen {
+            return;
+        }
+        // A failure mid-compute is an interesting event: hydrate a
+        // probe window before the ledger absorbs it.
+        if matches!(self.hosts[h].activity, Some(Activity::Compute { .. })) {
+            self.probe_window(h);
+        }
+        self.report.fault_transitions += 1;
+        let host = &mut self.hosts[h];
+        host.up = false;
+        host.uptime_total += now.since(host.up_since).as_secs_f64();
+        // Interrupt the activity, preserving resumable progress. A
+        // paused host accrued everything at pause time.
+        if !host.paused {
+            self.accrue_activity(cx, now, h, false);
+        }
+        let host = &mut self.hosts[h];
+        host.paused = false;
+        host.act_gen += 1; // cancel any pending ActDone
+        if cx.deploy.migrate_on_churn {
+            if let Some(Activity::Compute {
+                task,
+                remaining_ref,
+                ..
+            }) = host.activity
+            {
+                // Ship the checkpointed state back through the server;
+                // any volunteer may pick it up. Resumes jump the queue:
+                // finishing started work beats starting fresh copies
+                // (BOINC's deadline-driven scheduling has the same
+                // effect).
+                host.activity = None;
+                self.queue.push_front(Work::Resume {
+                    copy: task,
+                    remaining_ref,
+                });
+                self.report.migrations += 1;
+                self.kick_idle_hosts(cx, q, now);
+            }
+        }
+        let host = &mut self.hosts[h];
+        if host.rng.chance(cx.pool.permanent_failure_prob) {
+            // The volunteer never returns; its task (if any) is
+            // stranded until the server's deadline reissues it.
+            host.excluded = true;
+            self.sync_idle(h);
+            return;
+        }
+        let span = faults::sample_span(
+            &mut host.rng,
+            cx.churn.availability_shape,
+            cx.pool.mean_downtime_secs,
+        );
+        host.life_gen += 1;
+        let gen = host.life_gen;
+        schedule_in(q, now, SimDuration::from_secs_f64(span), Ev::Up { h, gen });
+        self.sync_idle(h);
+    }
+
+    /// The host's current activity finished: advance it to the next
+    /// stage (download → compute → upload → report) or acquire work.
+    fn on_act_done<Q: EventScheduler<Ev>>(
+        &mut self,
+        cx: &RunCtx<'_>,
+        q: &mut Q,
+        now: SimTime,
+        h: usize,
+        gen: u64,
+    ) {
+        if gen != self.hosts[h].act_gen || !self.hosts[h].up {
+            return;
+        }
+        let Some(act) = self.hosts[h].activity.take() else {
+            return;
+        };
+        match act {
+            Activity::ImageDl { .. } => {
+                self.hosts[h].has_image = true;
+                self.report.image_transfer_secs +=
+                    now.since(self.hosts[h].act_started).as_secs_f64();
+            }
+            Activity::StateDl {
+                task,
+                remaining_ref,
+                ..
+            } => return self.begin_compute(cx, q, now, h, task, remaining_ref),
+            Activity::InputDl { task, .. } => {
+                return self.begin_compute(cx, q, now, h, task, cx.project.wu_ref_secs)
+            }
+            Activity::Compute { task, .. } => {
+                // Task completion: hydrate a probe window to check the
+                // ledger's rate against a real system.
+                self.probe_window(h);
+                // Account the CPU time of the final stretch.
+                let host = &mut self.hosts[h];
+                let elapsed = now.since(host.act_started).as_secs_f64();
+                self.report.cpu_secs_spent += elapsed;
+                self.copies[task].cpu_spent += elapsed;
+                host.activity = Some(Activity::Upload {
+                    remaining: cx.project.wu_output_bytes as f64,
+                    task,
+                });
+                host.act_started = now;
+                host.act_gen += 1;
+                let gen = host.act_gen;
+                let secs = cx.project.wu_output_bytes as f64 / cx.pool.up_bw;
+                schedule_in(
+                    q,
+                    now,
+                    SimDuration::from_secs_f64(secs),
+                    Ev::ActDone { h, gen },
+                );
+                return;
+            }
+            Activity::Upload { task, .. } => self.report_result(cx, q, now, h, task),
+        }
+        // Acquire the next piece of work.
+        self.start_next_activity(cx, q, now, h);
+        self.sync_idle(h);
+    }
+
+    /// Host `h` uploaded copy `task`: hand the result to the quorum
+    /// validator and react to its verdict.
+    fn report_result<Q: EventScheduler<Ev>>(
+        &mut self,
+        cx: &RunCtx<'_>,
+        q: &mut Q,
+        now: SimTime,
+        h: usize,
+        task: usize,
+    ) {
+        self.copies[task].returned = true;
+        self.report.results_returned += 1;
+        let wu = self.copies[task].wu;
+        let good = !self.hosts[h].rng.chance(cx.project.error_rate);
+        match self.validator.record(wu, good, self.copies[task].cpu_spent) {
+            RecordOutcome::NewlyValidated => {
+                // A quorum decision is an interesting event:
+                // hydrate a probe window.
+                self.probe_window(h);
+                if self.copies[task].rescued {
+                    self.report.rescue_wins += 1;
+                }
+                if self.validator.validated_count() >= cx.project.workunits {
+                    self.makespan = Some(now);
+                }
+            }
+            RecordOutcome::Rejected => {
+                self.report.bad_results += 1;
+                self.issue_copy(wu);
+                // The reporting host is between activities
+                // right now — it competes for the replacement
+                // copy in id order like any other idle host.
+                self.sync_idle(h);
+                self.kick_idle_hosts(cx, q, now);
+            }
+            RecordOutcome::Counted | RecordOutcome::Late => {}
+        }
+    }
+
+    /// A copy's reissue deadline passed: if it never came back and its
+    /// work unit is still open, issue a replacement.
+    fn on_deadline<Q: EventScheduler<Ev>>(
+        &mut self,
+        cx: &RunCtx<'_>,
+        q: &mut Q,
+        now: SimTime,
+        copy: usize,
+    ) {
+        let wu = self.copies[copy].wu;
+        if self.copies[copy].returned || self.validator.is_validated(wu) {
+            return;
+        }
+        self.issue_copy(wu);
+        self.report.reissues += 1;
+        self.kick_idle_hosts(cx, q, now);
+    }
+
+    /// The machine's owner starts a session: suspend (VM) or preempt
+    /// (native) the sandbox, possibly killing it outright.
+    fn on_owner_arrive<Q: EventScheduler<Ev>>(
+        &mut self,
+        cx: &RunCtx<'_>,
+        q: &mut Q,
+        now: SimTime,
+        h: usize,
+        gen: u64,
+    ) {
+        if !self.fault_is_live(h, gen) {
+            return;
+        }
+        // An owner preempting live work is an interesting event.
+        if !self.hosts[h].paused && self.hosts[h].activity.is_some() {
+            self.probe_window(h);
+        }
+        self.report.owner_preemptions += 1;
+        self.report.fault_transitions += 1;
+        let kills = self.hosts[h].frng.chance(cx.churn.preempt_kill_prob);
+        if !self.hosts[h].paused {
+            if self.hosts[h].activity.is_some() {
+                // VM sandboxes suspend in place (durable .vmss-style
+                // state: nothing is lost); native apps are preempted
+                // and roll back to their last checkpoint.
+                let preserve = matches!(cx.deploy.mode, ExecutionMode::Vm(_));
+                self.accrue_activity(cx, now, h, preserve);
+                self.hosts[h].act_gen += 1; // cancel the pending ActDone
+            }
+            self.hosts[h].paused = true;
+        }
+        if kills {
+            self.kill_task(cx, now, h);
+        }
+        let session = self.hosts[h]
+            .frng
+            .exponential(cx.churn.owner_session_mean_secs);
+        let ev = Ev::OwnerLeave { h, gen };
+        schedule_in(q, now, SimDuration::from_secs_f64(session), ev);
+        self.sync_idle(h);
+    }
+
+    /// The owner session ends: resume the preempted activity (or fetch
+    /// fresh work) and arm the next arrival.
+    fn on_owner_leave<Q: EventScheduler<Ev>>(
+        &mut self,
+        cx: &RunCtx<'_>,
+        q: &mut Q,
+        now: SimTime,
+        h: usize,
+        gen: u64,
+    ) {
+        if !self.fault_is_live(h, gen) {
+            return;
+        }
+        self.report.fault_transitions += 1;
+        self.hosts[h].paused = false;
+        self.start_next_activity(cx, q, now, h);
+        let gap = self.hosts[h]
+            .frng
+            .exponential(cx.churn.owner_arrival_mean_secs);
+        let ev = Ev::OwnerArrive { h, gen };
+        schedule_in(q, now, SimDuration::from_secs_f64(gap), ev);
+        self.sync_idle(h);
+    }
+
+    /// The sandbox is killed outright: live work rolls back and
+    /// restarts, and the next kill is armed.
+    fn on_vm_kill<Q: EventScheduler<Ev>>(
+        &mut self,
+        cx: &RunCtx<'_>,
+        q: &mut Q,
+        now: SimTime,
+        h: usize,
+        gen: u64,
+    ) {
+        if !self.fault_is_live(h, gen) {
+            return;
+        }
+        self.report.fault_transitions += 1;
+        if self.hosts[h].activity.is_some() {
+            // A sandbox kill with live work is an interesting event.
+            self.probe_window(h);
+            self.kill_task(cx, now, h);
+            // Restart from the rolled-back state (no-op while the owner
+            // holds the machine: OwnerLeave resumes it).
+            self.start_next_activity(cx, q, now, h);
+        }
+        let wait = self.hosts[h].frng.exponential(cx.churn.vm_kill_mean_secs);
+        schedule_in(
+            q,
+            now,
+            SimDuration::from_secs_f64(wait),
+            Ev::VmKill { h, gen },
+        );
+        self.sync_idle(h);
+    }
+
+    /// An idle client's backoff timer fired: ask the server again.
+    fn on_refetch<Q: EventScheduler<Ev>>(
+        &mut self,
+        cx: &RunCtx<'_>,
+        q: &mut Q,
+        now: SimTime,
+        h: usize,
+    ) {
+        let host = &mut self.hosts[h];
+        host.refetch_pending = false;
+        if !host.up || host.excluded || host.paused || host.activity.is_some() {
+            return;
+        }
+        self.start_next_activity(cx, q, now, h);
+        self.sync_idle(h);
+    }
+
+    /// Straggler audit at a copy's slack point: export the holder's
+    /// checkpoint when it is stranded, or when it is live but projected
+    /// to miss the deadline while a strictly faster host sits idle.
+    fn on_rescue_check<Q: EventScheduler<Ev>>(
+        &mut self,
+        cx: &RunCtx<'_>,
+        q: &mut Q,
+        now: SimTime,
+        copy: usize,
+        deadline: SimTime,
+    ) {
+        if self.copies[copy].returned || self.validator.is_validated(self.copies[copy].wu) {
+            return;
+        }
+        // Locate the copy's holder. Only a computing holder has
+        // checkpointed state worth exporting; a copy still in the queue
+        // or mid-download is left to the deadline.
+        let Some(holder) = self.hosts.iter().position(
+            |s| matches!(s.activity, Some(Activity::Compute { task, .. }) if task == copy),
+        ) else {
+            return;
+        };
+        let stranded = !self.hosts[holder].up || self.hosts[holder].paused;
+        if !stranded {
+            // The holder is live: rescue only a projected miss, and only
+            // when a strictly faster host sits idle.
+            let rate = self.rate(holder);
+            let host = &self.hosts[holder];
+            let Some(Activity::Compute { remaining_ref, .. }) = host.activity else {
+                return;
+            };
+            let elapsed = now.since(host.act_started).as_secs_f64();
+            let live_remaining = remaining_ref - elapsed * rate;
+            let projected = now
+                .checked_add(SimDuration::from_secs_f64((live_remaining / rate).max(0.0)))
+                .unwrap_or(SimTime::MAX);
+            if projected <= deadline {
+                return;
+            }
+            let holder_speed = host.speed;
+            if !self
+                .idle
+                .iter()
+                .any(|&i| self.hosts[i as usize].speed > holder_speed)
+            {
+                return;
+            }
+            // A straggler preempted live is an interesting event.
+            self.probe_window(holder);
+        }
+        if self.export_checkpoint(cx, q, now, holder, !stranded) {
+            self.copies[copy].rescued = true;
+            self.report.migrations += 1;
+            if !stranded {
+                // The freed host competes for other work.
+                self.start_next_activity(cx, q, now, holder);
+            }
+            self.sync_idle(holder);
+        }
+    }
+
+    /// Periodic predicted-interruption audit of a computing host:
+    /// evacuate its checkpoint toward a safer idle host once the
+    /// hazard crosses the policy threshold, else re-arm.
+    fn on_evac_check<Q: EventScheduler<Ev>>(
+        &mut self,
+        cx: &RunCtx<'_>,
+        q: &mut Q,
+        now: SimTime,
+        h: usize,
+        gen: u64,
+    ) {
+        let host = &self.hosts[h];
+        if gen != host.act_gen || !host.up || host.paused {
+            return;
+        }
+        let Some(Activity::Compute {
+            remaining_ref,
+            progress_ref,
+            ..
+        }) = host.activity
+        else {
+            return;
+        };
+        let rate = self.rate(h);
+        let elapsed = now.since(host.act_started).as_secs_f64();
+        let live_remaining = remaining_ref - elapsed * rate;
+        if live_remaining <= 0.0 {
+            return; // finishing imminently; let ActDone land
+        }
+        // Evacuating pays a transfer and a re-download; it only ever
+        // wins when at least one durable quantum exists.
+        let quantum = cx.deploy.checkpoint_interval.as_secs_f64() * rate;
+        let durable = durable_progress(progress_ref + elapsed * rate, progress_ref, quantum);
+        let hazard = migration::interruption_hazard(
+            cx.churn,
+            cx.pool.mean_uptime_secs,
+            now.since(host.up_since).as_secs_f64(),
+            live_remaining / rate,
+        );
+        if durable <= 0.0
+            || hazard < cx.deploy.migration.hazard_threshold
+            || !self.has_safe_home(cx, now, h, live_remaining)
+        {
+            // Re-arm for the next checkpoint quantum; the act_gen guard
+            // retires the chain on interruption.
+            schedule_in(
+                q,
+                now,
+                cx.deploy.checkpoint_interval,
+                Ev::EvacCheck { h, gen },
+            );
+            return;
+        }
+        self.probe_window(h);
+        if self.export_checkpoint(cx, q, now, h, true) {
+            self.report.evacuations += 1;
+            self.start_next_activity(cx, q, now, h);
+            self.sync_idle(h);
+        }
+    }
+
+    /// An exported checkpoint finished crossing the server NIC: queue
+    /// it for any volunteer unless its work unit no longer needs it.
+    fn on_xfer_done<Q: EventScheduler<Ev>>(
+        &mut self,
+        cx: &RunCtx<'_>,
+        q: &mut Q,
+        now: SimTime,
+        copy: usize,
+        remaining_ref: f64,
+    ) {
+        // The server NIC slot frees whether or not the state is still
+        // useful.
+        self.inflight_xfers = self.inflight_xfers.saturating_sub(1);
+        if self.copies[copy].returned || self.validator.is_validated(self.copies[copy].wu) {
+            return;
+        }
+        // Re-homed state jumps the queue, like churn-driven migration:
+        // finishing started work beats starting fresh copies.
+        self.queue.push_front(Work::Resume {
+            copy,
+            remaining_ref,
+        });
+        self.kick_idle_hosts(cx, q, now);
+    }
+
+    /// Whether a fault event still applies: same up-span, host online
+    /// and eligible.
+    fn fault_is_live(&self, h: usize, gen: u64) -> bool {
+        let host = &self.hosts[h];
+        gen == host.life_gen && host.up && !host.excluded
+    }
+
+    /// Effective compute rate of host `h`.
+    fn rate(&self, h: usize) -> f64 {
+        compute_rate(&self.hosts[h], self.vm_factor, self.ckpt_frac)
+    }
+
+    /// Hydrate a probe window for host `h`'s archetype around an
+    /// interesting event.
+    fn probe_window(&mut self, h: usize) {
+        let band = archetype::speed_band(self.hosts[h].speed);
+        self.hpool.window(&self.probe, band);
+    }
+
+    /// Issue a fresh copy of work unit `wu` behind all queued work
+    /// (bad-result replacements and deadline reissues).
+    fn issue_copy(&mut self, wu: usize) {
+        self.copies.push(TaskCopy::new(wu));
+        self.queue.push_back(Work::Fresh(self.copies.len() - 1));
+        self.validator.note_issued(wu);
+    }
+
+    /// Evacuate only toward predicted safety: an idle host at least as
+    /// fast as `h` whose own hazard over the same work window sits below
+    /// the threshold. Without such a home the export would burn NIC
+    /// time to move the task between equally doomed hosts — at extreme
+    /// churn nobody qualifies and the policy holds still.
+    fn has_safe_home(&self, cx: &RunCtx<'_>, now: SimTime, h: usize, live_remaining: f64) -> bool {
+        self.idle.iter().any(|&i| {
+            let cand = &self.hosts[i as usize];
+            if cand.speed < self.hosts[h].speed {
+                return false;
+            }
+            let cand_rate = compute_rate(cand, self.vm_factor, self.ckpt_frac);
+            migration::interruption_hazard(
+                cx.churn,
+                cx.pool.mean_uptime_secs,
+                now.since(cand.up_since).as_secs_f64(),
+                live_remaining / cand_rate,
+            ) < cx.deploy.migration.hazard_threshold
+        })
+    }
+
+    /// Re-derive host `h`'s membership in the idle set after a handler
+    /// mutated it. The set invariant — `h ∈ idle` iff the host is up,
+    /// eligible, unpaused and between activities — is what lets the
+    /// server push touch only takers instead of scanning a million-host
+    /// pool.
+    fn sync_idle(&mut self, h: usize) {
+        if self.hosts[h].is_idle() {
+            self.idle.insert(h as u32);
+        } else {
+            self.idle.remove(&(h as u32));
+        }
+    }
+
+    /// Accrue partial progress of the interrupted activity. With
+    /// `preserve` false (host went down, app preempted) compute
+    /// progress rolls back to the last durable checkpoint; with
+    /// `preserve` true (VM suspend) it is kept in full.
+    fn accrue_activity(&mut self, cx: &RunCtx<'_>, now: SimTime, h: usize, preserve: bool) {
+        let elapsed = now.since(self.hosts[h].act_started).as_secs_f64();
+        let rate = self.rate(h);
+        let Some(act) = self.hosts[h].activity.as_mut() else {
+            return;
+        };
+        match act {
+            Activity::ImageDl { remaining }
+            | Activity::InputDl { remaining, .. }
+            | Activity::StateDl { remaining, .. } => {
+                *remaining = (*remaining - elapsed * cx.pool.down_bw).max(0.0);
+                if matches!(act, Activity::ImageDl { .. }) {
+                    self.report.image_transfer_secs += elapsed;
+                }
+            }
+            Activity::Upload { remaining, .. } => {
+                *remaining = (*remaining - elapsed * cx.pool.up_bw).max(0.0);
+            }
+            Activity::Compute {
+                task,
+                remaining_ref,
+                progress_ref,
+            } => {
+                self.report.cpu_secs_spent += elapsed;
+                let advanced = elapsed * rate;
+                let new_progress = *progress_ref + advanced;
+                if preserve {
+                    // Suspend-to-disk: every reference second survives.
+                    self.copies[*task].cpu_spent += elapsed;
+                    *remaining_ref -= advanced;
+                    *progress_ref = new_progress;
+                } else {
+                    // Roll back to the last checkpoint. Only the durable
+                    // delta is attributed to the copy — rolled-back time
+                    // is waste, never "useful" even if the copy
+                    // validates.
+                    let quantum = cx.deploy.checkpoint_interval.as_secs_f64() * rate;
+                    let kept = durable_progress(new_progress, *progress_ref, quantum);
+                    self.report.cpu_secs_lost += (new_progress - kept) / rate;
+                    self.copies[*task].cpu_spent += (kept - *progress_ref) / rate;
+                    *remaining_ref -= kept - *progress_ref;
+                    *progress_ref = kept;
+                }
+            }
+        }
+    }
+
+    /// Destroy the sandbox: in-flight work (and any suspended state)
+    /// rolls back to the last durable checkpoint. The caller
+    /// reschedules the restart.
+    fn kill_task(&mut self, cx: &RunCtx<'_>, now: SimTime, h: usize) {
+        if self.hosts[h].activity.is_none() {
+            return;
+        }
+        if self.hosts[h].paused {
+            // The suspended image dies with the sandbox; only whole
+            // checkpoint quanta survive.
+            let rate = self.rate(h);
+            if let Some(Activity::Compute {
+                task,
+                remaining_ref,
+                progress_ref,
+            }) = self.hosts[h].activity.as_mut()
+            {
+                let quantum = cx.deploy.checkpoint_interval.as_secs_f64() * rate;
+                let kept = durable_progress(*progress_ref, 0.0, quantum);
+                let lost = *progress_ref - kept;
+                if lost > 0.0 {
+                    self.report.cpu_secs_lost += lost / rate;
+                    // Take the destroyed progress back out of the copy's
+                    // attributable CPU (the suspend credited it in full).
+                    let copy = &mut self.copies[*task];
+                    copy.cpu_spent = (copy.cpu_spent - lost / rate).max(0.0);
+                    *remaining_ref += lost;
+                    *progress_ref = kept;
+                }
+            }
+        } else {
+            self.accrue_activity(cx, now, h, false);
+        }
+        self.hosts[h].act_gen += 1; // cancel the pending ActDone
+        self.report.vm_kills += 1;
+    }
+
+    /// Export the holder's computing checkpoint through the server NIC
+    /// (migration policy only). With `accrue` set (live holder) partial
+    /// progress first rolls back to the last durable checkpoint —
+    /// exactly the accounting an interruption applies; a stranded
+    /// holder already accrued at interruption time. The activity is
+    /// cleared, the pending `ActDone` cancelled, and an
+    /// [`Ev::XferDone`] scheduled after the contention-scaled transfer;
+    /// only then does the state become fetchable. Returns false if the
+    /// holder has no compute activity.
+    fn export_checkpoint<Q: EventScheduler<Ev>>(
+        &mut self,
+        cx: &RunCtx<'_>,
+        q: &mut Q,
+        now: SimTime,
+        h: usize,
+        accrue: bool,
+    ) -> bool {
+        if !matches!(self.hosts[h].activity, Some(Activity::Compute { .. })) {
+            return false;
+        }
+        if accrue {
+            self.accrue_activity(cx, now, h, false);
+        }
+        let host = &mut self.hosts[h];
+        let Some(Activity::Compute {
+            task,
+            remaining_ref,
+            ..
+        }) = host.activity
+        else {
+            return false;
+        };
+        host.activity = None;
+        host.act_gen += 1; // cancel the pending ActDone
+                           // One server link: concurrent exports stretch each other
+                           // linearly.
+        let secs = self.transfer_base_secs * (1.0 + self.inflight_xfers as f64);
+        self.inflight_xfers += 1;
+        self.report.transfer_secs += secs;
+        let ev = Ev::XferDone {
+            copy: task,
+            remaining_ref,
+        };
+        schedule_in(q, now, SimDuration::from_secs_f64(secs.max(1e-6)), ev);
+        true
+    }
+
+    /// Hand queued work to idle online hosts (called whenever the queue
+    /// gains entries after the initial distribution — migrations,
+    /// deadline reissues, replacement copies). Hosts otherwise only ask
+    /// for work at their own transitions. Under churn the server push
+    /// is disabled: idle clients poll with exponential backoff instead.
+    ///
+    /// Takes idle hosts in id order (the same hand-out order as the
+    /// original whole-pool scan) rather than scanning all hosts: the
+    /// walk is O(work handed out), not O(pool). A started host always
+    /// leaves the idle set — it takes either the image download or a
+    /// queue entry — so the walk ends once the queue is empty.
+    fn kick_idle_hosts<Q: EventScheduler<Ev>>(&mut self, cx: &RunCtx<'_>, q: &mut Q, now: SimTime) {
+        if cx.churn_on {
+            return;
+        }
+        while !self.queue.is_empty() {
+            let Some(&hid) = self.idle.iter().next() else {
+                break;
+            };
+            let h = hid as usize;
+            debug_assert!(
+                self.hosts[h].is_idle(),
+                "idle-set invariant broken for host {h}"
+            );
+            self.start_next_activity(cx, q, now, h);
+            self.sync_idle(h);
+        }
+    }
+
+    /// Enter `Compute` once a task's input or migrated state has
+    /// downloaded: `remaining_ref` reference seconds are left, the rest
+    /// of the work unit is progress already made.
+    fn begin_compute<Q: EventScheduler<Ev>>(
+        &mut self,
+        cx: &RunCtx<'_>,
+        q: &mut Q,
+        now: SimTime,
+        h: usize,
+        task: usize,
+        remaining_ref: f64,
+    ) {
+        self.hosts[h].activity = Some(Activity::Compute {
+            task,
+            remaining_ref,
+            progress_ref: cx.project.wu_ref_secs - remaining_ref,
+        });
+        self.hosts[h].act_started = now;
+        let rate = self.rate(h);
+        self.hosts[h].act_gen += 1;
+        let gen = self.hosts[h].act_gen;
+        let d = SimDuration::from_secs_f64(remaining_ref / rate);
+        schedule_in(q, now, d, Ev::ActDone { h, gen });
+        self.arm_evac_check(cx, q, now, h);
+    }
+
+    /// Give the host its next activity (resume, or fetch new work).
+    fn start_next_activity<Q: EventScheduler<Ev>>(
+        &mut self,
+        cx: &RunCtx<'_>,
+        q: &mut Q,
+        now: SimTime,
+        h: usize,
+    ) {
+        let host = &mut self.hosts[h];
+        if !host.up || host.excluded || host.paused {
+            return;
+        }
+        // Resume an interrupted activity if one exists; otherwise pick
+        // work.
+        if host.activity.is_none() {
+            if !host.has_image {
+                host.activity = Some(Activity::ImageDl {
+                    remaining: cx.deploy.image_bytes as f64,
+                });
+                host.backoff.reset(&cx.backoff);
+            } else if let Some(work) = self.queue.pop_front(&mut self.copies, &mut self.validator) {
+                host.backoff.reset(&cx.backoff);
+                match work {
+                    Work::Fresh(copy) => {
+                        debug_assert!(!self.copies[copy].returned);
+                        host.activity = Some(Activity::InputDl {
+                            remaining: cx.project.wu_input_bytes as f64,
+                            task: copy,
+                        });
+                        schedule_in(q, now, cx.project.deadline, Ev::Deadline { copy });
+                        if cx.deploy.migration.rescue {
+                            // Audit the copy at the slack point; the
+                            // full deadline rides along for the
+                            // projection.
+                            let slack = cx.project.deadline.as_secs_f64()
+                                * cx.deploy.migration.rescue_slack;
+                            let deadline =
+                                now.checked_add(cx.project.deadline).unwrap_or(SimTime::MAX);
+                            let ev = Ev::RescueCheck { copy, deadline };
+                            schedule_in(q, now, SimDuration::from_secs_f64(slack), ev);
+                        }
+                    }
+                    Work::Resume {
+                        copy,
+                        remaining_ref,
+                    } => {
+                        // Fetch the migrated checkpoint: the VM's
+                        // committed RAM (or the small app-level state
+                        // when native).
+                        host.activity = Some(Activity::StateDl {
+                            remaining: archetype::checkpoint_state_bytes(cx.deploy) as f64,
+                            task: copy,
+                            remaining_ref,
+                        });
+                    }
+                }
+            } else {
+                // Empty scheduler reply. Under churn the client retries
+                // with exponential backoff; the zero-churn path keeps
+                // the legacy server push (`kick_idle_hosts`) and
+                // schedules nothing.
+                if cx.churn_on && !host.refetch_pending {
+                    let delay = host.backoff.next_delay(&cx.backoff);
+                    host.refetch_pending = true;
+                    schedule_in(q, now, delay, Ev::Refetch { h });
+                }
+                return;
+            }
+        }
+        host.act_started = now;
+        let rate = compute_rate(host, self.vm_factor, self.ckpt_frac);
+        let Some(act) = host.activity.as_ref() else {
+            return;
+        };
+        let secs = match act {
+            Activity::ImageDl { remaining }
+            | Activity::InputDl { remaining, .. }
+            | Activity::StateDl { remaining, .. } => remaining / cx.pool.down_bw,
+            Activity::Upload { remaining, .. } => remaining / cx.pool.up_bw,
+            Activity::Compute { remaining_ref, .. } => remaining_ref / rate,
+        };
+        host.act_gen += 1;
+        let gen = host.act_gen;
+        schedule_in(
+            q,
+            now,
+            SimDuration::from_secs_f64(secs.max(1e-6)),
+            Ev::ActDone { h, gen },
+        );
+        self.arm_evac_check(cx, q, now, h);
+    }
+
+    /// Arm the periodic evacuation audit for a host that just
+    /// (re)entered `Compute` — only under the policy's `evacuate` arm,
+    /// only under churn, and only when checkpoints exist (no durable
+    /// state, nothing worth exporting). Policy-off campaigns schedule
+    /// nothing here, ever.
+    fn arm_evac_check<Q: EventScheduler<Ev>>(
+        &self,
+        cx: &RunCtx<'_>,
+        q: &mut Q,
+        now: SimTime,
+        h: usize,
+    ) {
+        let deploy = cx.deploy;
+        if !deploy.migration.evacuate || !cx.churn_on || deploy.checkpoint_interval.is_zero() {
+            return;
+        }
+        if !matches!(self.hosts[h].activity, Some(Activity::Compute { .. })) {
+            return;
+        }
+        let gen = self.hosts[h].act_gen;
+        schedule_in(q, now, deploy.checkpoint_interval, Ev::EvacCheck { h, gen });
+    }
 }
 
 /// Snapshot the loop-exit state into the trajectory cache (when a
@@ -1118,9 +1466,7 @@ fn store_and_finalize<Q: EventScheduler<Ev>>(
     st: SimState,
     mut q: Q,
     carried: Option<(SimTime, Ev)>,
-    project: &ProjectConfig,
-    deploy: &DeployConfig,
-    horizon: SimTime,
+    cx: &RunCtx<'_>,
     store_key: Option<&str>,
 ) -> GridReport {
     if let Some(key) = store_key {
@@ -1135,35 +1481,29 @@ fn store_and_finalize<Q: EventScheduler<Ev>>(
         }
         fastforward::trajectory_store(
             key,
-            horizon,
+            cx.horizon,
             CampaignCheckpoint {
                 state: st.clone(),
                 pending,
             },
         );
     }
-    finalize(st, project, deploy, horizon)
+    finalize(st, cx)
 }
 
-/// Final accounting: fold the loop-exit state into the report and
-/// return the scratch buffers to the thread's campaign arena.
-fn finalize(
-    st: SimState,
-    project: &ProjectConfig,
-    deploy: &DeployConfig,
-    horizon: SimTime,
-) -> GridReport {
+/// Final accounting: fold the loop-exit state into the report.
+fn finalize(st: SimState, cx: &RunCtx<'_>) -> GridReport {
     let SimState {
         mut hosts,
         mut report,
         hpool,
         eligible_rate,
         validator,
-        copies,
         makespan,
         ..
     } = st;
-    let end = makespan.unwrap_or(horizon);
+    let (project, deploy) = (cx.project, cx.deploy);
+    let end = makespan.unwrap_or(cx.horizon);
     for host in hosts.iter_mut() {
         if host.up {
             host.uptime_total += end.since(host.up_since).as_secs_f64();
@@ -1210,364 +1550,12 @@ fn finalize(
     // (substrate-independent) event stream, so the report stays
     // bit-identical across substrates.
     report.hydration = hpool.finish();
-    // Recycle the host/copy buffers for the next repetition on this
-    // thread (capacity is kept, contents are cleared).
-    fastforward::arena_put(CampaignArena { hosts, copies });
     report
 }
 
 /// Effective compute rate: reference seconds per host second.
 fn compute_rate(host: &HostSlot, vm_factor: f64, ckpt_frac: f64) -> f64 {
     host.speed / vm_factor * (1.0 - ckpt_frac).max(0.05)
-}
-
-/// Re-derive one host's membership in the idle set after an event arm
-/// mutated it. The set invariant — `h ∈ idle` iff the host is up,
-/// eligible, unpaused and between activities — is what lets the server
-/// push touch only takers instead of scanning a million-host pool.
-fn sync_idle(idle: &mut DetSet<u32>, hosts: &[HostSlot], h: usize) {
-    let host = &hosts[h];
-    if host.up && !host.excluded && !host.paused && host.activity.is_none() {
-        idle.insert(h as u32);
-    } else {
-        idle.remove(&(h as u32));
-    }
-}
-
-/// Accrue partial progress of the interrupted activity. With `preserve`
-/// false (host went down, app preempted) compute progress rolls back to
-/// the last durable checkpoint; with `preserve` true (VM suspend) it is
-/// kept in full.
-#[allow(clippy::too_many_arguments)]
-fn accrue_activity(
-    h: usize,
-    now: SimTime,
-    hosts: &mut [HostSlot],
-    copies: &mut [TaskCopy],
-    pool: &PoolConfig,
-    deploy: &DeployConfig,
-    vm_factor: f64,
-    ckpt_frac: f64,
-    preserve: bool,
-    report: &mut GridReport,
-) {
-    let elapsed = now.since(hosts[h].act_started).as_secs_f64();
-    let rate = compute_rate(&hosts[h], vm_factor, ckpt_frac);
-    let Some(act) = hosts[h].activity.as_mut() else {
-        return;
-    };
-    match act {
-        Activity::ImageDl { remaining }
-        | Activity::InputDl { remaining, .. }
-        | Activity::StateDl { remaining, .. } => {
-            *remaining = (*remaining - elapsed * pool.down_bw).max(0.0);
-            if matches!(act, Activity::ImageDl { .. }) {
-                report.image_transfer_secs += elapsed;
-            }
-        }
-        Activity::Upload { remaining, .. } => {
-            *remaining = (*remaining - elapsed * pool.up_bw).max(0.0);
-        }
-        Activity::Compute {
-            task,
-            remaining_ref,
-            progress_ref,
-        } => {
-            report.cpu_secs_spent += elapsed;
-            let advanced = elapsed * rate;
-            let new_progress = *progress_ref + advanced;
-            if preserve {
-                // Suspend-to-disk: every reference second survives.
-                copies[*task].cpu_spent += elapsed;
-                *remaining_ref -= advanced;
-                *progress_ref = new_progress;
-            } else {
-                // Roll back to the last checkpoint. Only the durable
-                // delta is attributed to the copy — rolled-back time is
-                // waste, never "useful" even if the copy validates.
-                let quantum = deploy.checkpoint_interval.as_secs_f64() * rate;
-                let kept = durable_progress(new_progress, *progress_ref, quantum);
-                report.cpu_secs_lost += (new_progress - kept) / rate;
-                copies[*task].cpu_spent += (kept - *progress_ref) / rate;
-                *remaining_ref -= kept - *progress_ref;
-                *progress_ref = kept;
-            }
-        }
-    }
-}
-
-/// Destroy the sandbox: in-flight work (and any suspended state) rolls
-/// back to the last durable checkpoint. The caller reschedules the
-/// restart.
-#[allow(clippy::too_many_arguments)]
-fn kill_task(
-    h: usize,
-    now: SimTime,
-    hosts: &mut [HostSlot],
-    copies: &mut [TaskCopy],
-    pool: &PoolConfig,
-    deploy: &DeployConfig,
-    vm_factor: f64,
-    ckpt_frac: f64,
-    report: &mut GridReport,
-) {
-    if hosts[h].activity.is_none() {
-        return;
-    }
-    if hosts[h].paused {
-        // The suspended image dies with the sandbox; only whole
-        // checkpoint quanta survive.
-        let rate = compute_rate(&hosts[h], vm_factor, ckpt_frac);
-        if let Some(Activity::Compute {
-            task,
-            remaining_ref,
-            progress_ref,
-        }) = hosts[h].activity.as_mut()
-        {
-            let quantum = deploy.checkpoint_interval.as_secs_f64() * rate;
-            let kept = durable_progress(*progress_ref, 0.0, quantum);
-            let lost = *progress_ref - kept;
-            if lost > 0.0 {
-                report.cpu_secs_lost += lost / rate;
-                // Take the destroyed progress back out of the copy's
-                // attributable CPU (the suspend credited it in full).
-                copies[*task].cpu_spent = (copies[*task].cpu_spent - lost / rate).max(0.0);
-                *remaining_ref += lost;
-                *progress_ref = kept;
-            }
-        }
-    } else {
-        accrue_activity(
-            h, now, hosts, copies, pool, deploy, vm_factor, ckpt_frac, false, report,
-        );
-    }
-    hosts[h].act_gen += 1; // cancel the pending ActDone
-    report.vm_kills += 1;
-}
-
-/// Export the holder's computing checkpoint through the server NIC
-/// (migration policy only). With `accrue` set (live holder) partial
-/// progress first rolls back to the last durable checkpoint — exactly
-/// the accounting an interruption applies; a stranded holder already
-/// accrued at interruption time. The activity is cleared, the pending
-/// `ActDone` cancelled, and an [`Ev::XferDone`] scheduled after the
-/// contention-scaled transfer; only then does the state become
-/// fetchable. Returns false if the holder has no compute activity.
-#[allow(clippy::too_many_arguments)]
-fn export_checkpoint<Q: EventScheduler<Ev>>(
-    h: usize,
-    now: SimTime,
-    hosts: &mut [HostSlot],
-    copies: &mut [TaskCopy],
-    pool: &PoolConfig,
-    deploy: &DeployConfig,
-    vm_factor: f64,
-    ckpt_frac: f64,
-    accrue: bool,
-    transfer_base_secs: f64,
-    inflight_xfers: &mut u32,
-    report: &mut GridReport,
-    q: &mut Q,
-) -> bool {
-    if !matches!(hosts[h].activity, Some(Activity::Compute { .. })) {
-        return false;
-    }
-    if accrue {
-        accrue_activity(
-            h, now, hosts, copies, pool, deploy, vm_factor, ckpt_frac, false, report,
-        );
-    }
-    let Some(Activity::Compute {
-        task,
-        remaining_ref,
-        ..
-    }) = hosts[h].activity
-    else {
-        return false;
-    };
-    hosts[h].activity = None;
-    hosts[h].act_gen += 1; // cancel the pending ActDone
-                           // One server link: concurrent exports stretch each other linearly.
-    let secs = transfer_base_secs * (1.0 + *inflight_xfers as f64);
-    *inflight_xfers += 1;
-    report.transfer_secs += secs;
-    q.schedule(
-        now + SimDuration::from_secs_f64(secs.max(1e-6)),
-        Ev::XferDone {
-            copy: task,
-            remaining_ref,
-        },
-    );
-    true
-}
-
-/// Hand queued work to idle online hosts (called whenever the queue
-/// gains entries after the initial distribution — migrations, deadline
-/// reissues, replacement copies). Hosts otherwise only ask for work at
-/// their own transitions. Under churn the server push is disabled:
-/// idle clients poll with exponential backoff instead.
-///
-/// Iterates the idle set (sorted by host id — the same hand-out order
-/// as the original whole-pool scan) rather than all hosts: the walk is
-/// O(work handed out), not O(pool).
-#[allow(clippy::too_many_arguments)]
-fn kick_idle_hosts<Q: EventScheduler<Ev>>(
-    now: SimTime,
-    idle: &mut DetSet<u32>,
-    hosts: &mut [HostSlot],
-    queue: &mut WorkQueue,
-    copies: &mut Vec<TaskCopy>,
-    validator: &mut QuorumValidator,
-    project: &ProjectConfig,
-    pool: &PoolConfig,
-    deploy: &DeployConfig,
-    q: &mut Q,
-    vm_factor: f64,
-    ckpt_frac: f64,
-    fctx: &FaultCtx<'_>,
-    report: &mut GridReport,
-) {
-    if fctx.on {
-        return;
-    }
-    let mut kicked: Vec<u32> = Vec::new();
-    for &hid in idle.iter() {
-        if queue.is_empty() {
-            break;
-        }
-        let h = hid as usize;
-        debug_assert!(
-            hosts[h].up && !hosts[h].excluded && !hosts[h].paused && hosts[h].activity.is_none(),
-            "idle-set invariant broken for host {h}",
-        );
-        start_next_activity(
-            h, now, hosts, queue, copies, validator, project, pool, deploy, q, vm_factor,
-            ckpt_frac, fctx, report,
-        );
-        kicked.push(hid);
-    }
-    for hid in kicked {
-        sync_idle(idle, hosts, hid as usize);
-    }
-}
-
-/// Give the host its next activity (resume, or fetch new work).
-#[allow(clippy::too_many_arguments)]
-fn start_next_activity<Q: EventScheduler<Ev>>(
-    h: usize,
-    now: SimTime,
-    hosts: &mut [HostSlot],
-    queue: &mut WorkQueue,
-    copies: &mut Vec<TaskCopy>,
-    validator: &mut QuorumValidator,
-    project: &ProjectConfig,
-    pool: &PoolConfig,
-    deploy: &DeployConfig,
-    q: &mut Q,
-    vm_factor: f64,
-    ckpt_frac: f64,
-    fctx: &FaultCtx<'_>,
-    _report: &mut GridReport,
-) {
-    if !hosts[h].up || hosts[h].excluded || hosts[h].paused {
-        return;
-    }
-    // Resume an interrupted activity if one exists; otherwise pick work.
-    if hosts[h].activity.is_none() {
-        if !hosts[h].has_image {
-            hosts[h].activity = Some(Activity::ImageDl {
-                remaining: deploy.image_bytes as f64,
-            });
-            hosts[h].backoff.reset(&fctx.backoff);
-        } else if let Some(work) = queue.pop_front(copies, validator) {
-            hosts[h].backoff.reset(&fctx.backoff);
-            match work {
-                Work::Fresh(copy) => {
-                    debug_assert!(!copies[copy].returned);
-                    hosts[h].activity = Some(Activity::InputDl {
-                        remaining: project.wu_input_bytes as f64,
-                        task: copy,
-                    });
-                    q.schedule(now + project.deadline, Ev::Deadline { copy });
-                    if deploy.migration.rescue {
-                        // Audit the copy at the slack point; the full
-                        // deadline rides along for the projection.
-                        let slack = project.deadline.as_secs_f64() * deploy.migration.rescue_slack;
-                        q.schedule(
-                            now + SimDuration::from_secs_f64(slack),
-                            Ev::RescueCheck {
-                                copy,
-                                deadline: now + project.deadline,
-                            },
-                        );
-                    }
-                }
-                Work::Resume {
-                    copy,
-                    remaining_ref,
-                } => {
-                    // Fetch the migrated checkpoint: the VM's committed
-                    // RAM (or the small app-level state when native).
-                    hosts[h].activity = Some(Activity::StateDl {
-                        remaining: archetype::checkpoint_state_bytes(deploy) as f64,
-                        task: copy,
-                        remaining_ref,
-                    });
-                }
-            }
-        } else {
-            // Empty scheduler reply. Under churn the client retries with
-            // exponential backoff; the zero-churn path keeps the legacy
-            // server push (`kick_idle_hosts`) and schedules nothing.
-            if fctx.on && !hosts[h].refetch_pending {
-                let delay = hosts[h].backoff.next_delay(&fctx.backoff);
-                hosts[h].refetch_pending = true;
-                q.schedule(now + delay, Ev::Refetch { h });
-            }
-            return;
-        }
-    }
-    hosts[h].act_started = now;
-    let rate = compute_rate(&hosts[h], vm_factor, ckpt_frac);
-    let Some(act) = hosts[h].activity.as_ref() else {
-        return;
-    };
-    let secs = match act {
-        Activity::ImageDl { remaining }
-        | Activity::InputDl { remaining, .. }
-        | Activity::StateDl { remaining, .. } => remaining / pool.down_bw,
-        Activity::Upload { remaining, .. } => remaining / pool.up_bw,
-        Activity::Compute { remaining_ref, .. } => remaining_ref / rate,
-    };
-    hosts[h].act_gen += 1;
-    let gen = hosts[h].act_gen;
-    q.schedule(
-        now + SimDuration::from_secs_f64(secs.max(1e-6)),
-        Ev::ActDone { h, gen },
-    );
-    arm_evac_check(h, now, hosts, deploy, fctx, q);
-}
-
-/// Arm the periodic evacuation audit for a host that just (re)entered
-/// `Compute` — only under the policy's `evacuate` arm, only under
-/// churn, and only when checkpoints exist (no durable state, nothing
-/// worth exporting). Policy-off campaigns schedule nothing here, ever.
-fn arm_evac_check<Q: EventScheduler<Ev>>(
-    h: usize,
-    now: SimTime,
-    hosts: &[HostSlot],
-    deploy: &DeployConfig,
-    fctx: &FaultCtx<'_>,
-    q: &mut Q,
-) {
-    if !deploy.migration.evacuate || !fctx.on || deploy.checkpoint_interval.is_zero() {
-        return;
-    }
-    if !matches!(hosts[h].activity, Some(Activity::Compute { .. })) {
-        return;
-    }
-    let gen = hosts[h].act_gen;
-    q.schedule(now + deploy.checkpoint_interval, Ev::EvacCheck { h, gen });
 }
 
 #[cfg(test)]
@@ -1720,6 +1708,45 @@ mod tests {
                 let reference = run(SubstrateMode::HydratedReference);
                 assert_eq!(batched, reference, "substrate divergence: {deploy:?}");
             }
+        }
+    }
+
+    #[test]
+    fn events_past_the_clock_range_are_dropped() {
+        // Churn level 0.01 draws owner-arrival and kill gaps with means
+        // of hundreds of days, and a reissue deadline may sit at the
+        // edge of `SimTime`'s ~213-day range: some events land past it.
+        // Both substrates must drop them and agree bit for bit.
+        let pool = PoolConfig {
+            volunteers: 10,
+            ..Default::default()
+        };
+        let edge_deadline = ProjectConfig {
+            workunits: 4,
+            wu_ref_secs: 900.0,
+            deadline: SimDuration::from_secs(18_446_700),
+            ..Default::default()
+        };
+        let mut rescue = DeployConfig::native();
+        rescue.migration.rescue = true;
+        for (project, deploy, level) in [
+            (ProjectConfig::default(), DeployConfig::native(), 0.01),
+            (edge_deadline, rescue, 0.5),
+        ] {
+            let run = |substrate| {
+                run_campaign_substrate(
+                    &project,
+                    &pool,
+                    &deploy,
+                    &ChurnConfig::intensity(level),
+                    0xc11,
+                    SimTime::from_secs(3 * 24 * 3600),
+                    &RunOptions::default().substrate(substrate),
+                )
+            };
+            let batched = run(SubstrateMode::Batched);
+            assert!(batched.results_returned > 0, "{batched:?}");
+            assert_eq!(batched, run(SubstrateMode::HydratedReference));
         }
     }
 

@@ -20,6 +20,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use simlint::{collect_tree, lint, Diagnostic, Rule};
+use vgrid_simobs::json;
 
 const USAGE: &str = "usage: simlint [--root <path>] [--format text|json|github] [--list-rules]";
 
@@ -50,22 +51,6 @@ enum Format {
     Github,
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn render(diags: &[Diagnostic], files_scanned: usize, format: Format) {
     match format {
         Format::Text => {
@@ -80,11 +65,11 @@ fn render(diags: &[Diagnostic], files_scanned: usize, format: Format) {
                     out.push(',');
                 }
                 out.push_str(&format!(
-                    "{{\"path\":\"{}\",\"line\":{},\"rule\":\"{}\",\"message\":\"{}\"}}",
-                    json_escape(&d.path),
+                    "{{\"path\":{},\"line\":{},\"rule\":\"{}\",\"message\":{}}}",
+                    json::string(&d.path),
                     d.line,
                     d.rule.id(),
-                    json_escape(&d.message)
+                    json::string(&d.message)
                 ));
             }
             out.push_str(&format!("],\"files_scanned\":{files_scanned}}}"));

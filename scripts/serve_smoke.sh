@@ -26,7 +26,7 @@ for _ in $(seq 1 50); do
   sleep 0.1
 done
 
-for name in campaign_native campaign_vm campaign_migration; do
+for name in campaign_native campaign_vm campaign_migration campaign_lowchurn; do
   cargo run -q --release --bin vgrid -- campaign \
     --spec "tests/golden/$name.request.json" \
     --manifest-json "target/$name.cli.json"

@@ -32,6 +32,12 @@ const CASES: &[(&str, &str)] = &[
         "tests/golden/campaign_migration.request.json",
         "tests/golden/campaign_migration.response.json",
     ),
+    // Low churn draws owner and kill gaps past `SimTime`'s range; such
+    // events must be dropped, not overflow the clock.
+    (
+        "tests/golden/campaign_lowchurn.request.json",
+        "tests/golden/campaign_lowchurn.response.json",
+    ),
 ];
 
 fn read(path: &str) -> String {
