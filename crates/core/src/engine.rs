@@ -273,23 +273,6 @@ impl TrialSpec {
             per_quantum_ref: options.per_quantum_reference(),
         }
     }
-
-    /// The pre-TrialKey concatenated-string identity, kept only so the
-    /// tests can pin that the structured key partitions specs exactly
-    /// like the string it replaced.
-    #[cfg(test)]
-    fn legacy_cache_key(&self, options: &RunOptions) -> String {
-        format!(
-            "{:?}|{:?}|{:?}|{}|{:#x}|{:?}|ref={}",
-            self.env,
-            self.kernel,
-            self.machine,
-            self.repetitions,
-            self.base_seed,
-            self.fidelity,
-            options.per_quantum_reference(),
-        )
-    }
 }
 
 /// Label-agnostic structured trial identity. Each unbounded axis (the
@@ -860,7 +843,7 @@ mod tests {
     }
 
     /// A family of specs varying every identity axis, for the key
-    /// partition/injectivity tests below.
+    /// injectivity test below.
     fn key_test_specs() -> Vec<TrialSpec> {
         let base = |label: &str| {
             TrialSpec::new(
@@ -934,23 +917,6 @@ mod tests {
                 Fidelity::Fast,
             ),
         ]
-    }
-
-    #[test]
-    fn structured_key_partitions_specs_like_the_legacy_string() {
-        let specs = key_test_specs();
-        for (i, a) in specs.iter().enumerate() {
-            for b in specs.iter().skip(i) {
-                assert_eq!(
-                    a.legacy_cache_key(&RunOptions::default())
-                        == b.legacy_cache_key(&RunOptions::default()),
-                    a.cache_key(&RunOptions::default()) == b.cache_key(&RunOptions::default()),
-                    "old and new keys disagree for {:?} vs {:?}",
-                    a.label,
-                    b.label,
-                );
-            }
-        }
     }
 
     #[test]

@@ -1,31 +1,30 @@
-//! Host archetypes and the memoized per-archetype segment solver.
+//! Host archetypes and the per-archetype segment solver.
 //!
 //! A campaign's hosts fall into a small number of **archetypes** —
 //! machine config × deploy mode × churn class, refined by the pool's
 //! speed band and RAM eligibility. Between external events every host
 //! of an archetype advances analytically at the same reference rate per
-//! host-second (scaled only by its own speed draw), so the expensive
-//! part of the segment solve — dilating the Einstein instruction mix
-//! through the machine model — is computed once per distinct deploy
-//! mode and memoized process-wide. The keying discipline mirrors
-//! `machine`'s `ContentionCache`: a canonical string over the full
-//! configuration (the `Debug` form of the execution mode, calibrated
-//! profile fields included), so two profiles sharing a display name but
-//! differing in any parameter never collide.
+//! host-second (scaled only by its own speed draw). The segment solve
+//! is a closed form: dilate the Einstein instruction mix through the
+//! machine model ([`solve`] reuses the process-wide cached science
+//! block, so a call costs well under a microsecond) plus the checkpoint
+//! write fraction. [`solver_key`] names a deploy mode canonically — the
+//! `Debug` form of the execution mode, calibrated profile fields
+//! included — so two profiles sharing a display name but differing in
+//! any parameter never collide in the probe-dilation cache or the
+//! hydration pool.
 //!
-//! **Bit-identity rule** (DESIGN.md §12): the solver memoizes only the
+//! **Bit-identity rule** (DESIGN.md §12): the solver returns only the
 //! *inputs* to the per-host rate (`vm_factor`, `ckpt_frac`); the rate
 //! itself is always evaluated in the exact operation order of the
 //! pre-archetype simulator — `speed / vm_factor * (1.0 -
-//! ckpt_frac).max(0.05)` — so a memo hit can never move a bit relative
-//! to the hydrated-reference substrate, which calls
-//! [`solve_direct`] and recomputes the dilation from scratch.
+//! ckpt_frac).max(0.05)` — so the batched substrate can never move a
+//! bit relative to the hydrated-reference substrate, which calls
+//! [`solve_direct`] and rebuilds the science block from scratch.
 
 use crate::checkpoint::write_overhead_frac;
 use crate::faults::ChurnConfig;
 use crate::model::{DeployConfig, ExecutionMode};
-use std::sync::Mutex;
-use vgrid_simcore::DetMap;
 
 /// The reference volunteer machine the pool's speed multipliers are
 /// relative to (the paper's testbed desktop).
@@ -133,7 +132,7 @@ pub struct SegmentSolution {
 impl SegmentSolution {
     /// Reference seconds of science per host-second for a host with the
     /// given speed multiplier. Exact operation order of the
-    /// pre-archetype simulator — memoization cannot move a bit.
+    /// pre-archetype simulator, on every substrate.
     pub fn rate(&self, speed: f64) -> f64 {
         speed / self.vm_factor * (1.0 - self.ckpt_frac).max(0.05)
     }
@@ -155,46 +154,22 @@ pub fn solver_key(mode: &ExecutionMode) -> String {
     format!("{mode:?}")
 }
 
-static VM_FACTOR_MEMO: Mutex<Option<DetMap<String, f64>>> = Mutex::new(None);
-
-/// Drop the memo, part of [`crate::fastforward::reset_all`]'s cold-state
-/// contract.
-pub(crate) fn reset_vm_factor_memo() {
-    *VM_FACTOR_MEMO
-        .lock()
-        .expect("grid::archetype::VM_FACTOR_MEMO poisoned") = None;
-}
-
-/// [`crate::sim::vm_cpu_factor`] behind a process-wide memo keyed by
-/// [`solver_key`]. The dilation is a pure function of the mode, so the
-/// memo returns bit-identical values in any call order.
-pub fn memoized_vm_cpu_factor(mode: &ExecutionMode) -> f64 {
-    let key = solver_key(mode);
-    let mut guard = VM_FACTOR_MEMO
-        .lock()
-        .expect("grid::archetype::VM_FACTOR_MEMO poisoned");
-    let memo = guard.get_or_insert_with(DetMap::new);
-    if let Some(&factor) = memo.get(&key) {
-        return factor;
-    }
-    let factor = crate::sim::vm_cpu_factor(mode);
-    memo.insert(key, factor);
-    factor
-}
-
-/// Solve an archetype's segment constants, memoizing the expensive
-/// machine-model dilation per deploy mode (the batched substrate). The
-/// checkpoint fraction is a closed form and is computed fresh.
+/// Solve an archetype's segment constants (the batched substrate):
+/// the machine-model dilation runs on the process-wide cached science
+/// block, and the checkpoint fraction is a closed form.
 pub fn solve(deploy: &DeployConfig) -> SegmentSolution {
     SegmentSolution {
-        vm_factor: memoized_vm_cpu_factor(&deploy.mode),
+        vm_factor: crate::sim::vm_cpu_factor_on(
+            &deploy.mode,
+            crate::fastforward::science_block_cached,
+        ),
         ckpt_frac: write_overhead_frac(checkpoint_state_bytes(deploy), deploy.checkpoint_interval),
     }
 }
 
-/// Reference solver: recompute the dilation from scratch, bypassing the
-/// memo (the hydrated-reference substrate), so memoization itself sits
-/// under the equivalence tests.
+/// Reference solver: rebuild the science block from scratch before
+/// dilating it (the hydrated-reference substrate), so the block cache
+/// itself sits under the equivalence tests.
 pub fn solve_direct(deploy: &DeployConfig) -> SegmentSolution {
     SegmentSolution {
         vm_factor: crate::sim::vm_cpu_factor(&deploy.mode),
@@ -208,18 +183,13 @@ mod tests {
     use vgrid_vmm::VmmProfile;
 
     #[test]
-    fn memo_matches_direct_solve_bitwise() {
+    fn cached_block_solve_matches_direct_solve_bitwise() {
         for deploy in [
             DeployConfig::native(),
             DeployConfig::vm(VmmProfile::qemu(), 300 << 20),
             DeployConfig::vm(VmmProfile::vmplayer(), 300 << 20),
         ] {
             let direct = solve_direct(&deploy);
-            // Twice: a cold miss and a warm hit must both agree.
-            assert_eq!(
-                solve(&deploy).vm_factor.to_bits(),
-                direct.vm_factor.to_bits()
-            );
             assert_eq!(
                 solve(&deploy).vm_factor.to_bits(),
                 direct.vm_factor.to_bits()

@@ -230,7 +230,7 @@ impl CampaignSpec {
 
         // The fastest possible host must be able to compute a work unit
         // inside the reissue deadline, or every copy expires forever.
-        // The memoized solve is bit-identical to the direct one, so
+        // The cached-block solve is bit-identical to the direct one, so
         // validation agrees with the simulation on every substrate.
         let best_rate = crate::archetype::solve(&self.deploy).rate(pool.speed_range.1);
         let needed_secs = p.wu_ref_secs / best_rate;

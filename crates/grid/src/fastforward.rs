@@ -4,8 +4,7 @@
 //! The paper's figures are parameter sweeps (VMM × workload ×
 //! checkpoint interval × churn), and neighbouring sweep points re-run
 //! near-identical trajectories. This module holds the process-wide reuse
-//! layers the sweep hot loop leans on (DESIGN.md §13); the per-mode
-//! `vm_cpu_factor` memo lives in [`crate::archetype`]:
+//! layers the sweep hot loop leans on (DESIGN.md §13):
 //!
 //! 1. **Probe-dilation cache** — the hydration probes' machine-model
 //!    measurement per deploy mode, a pure function of the mode.
@@ -17,12 +16,15 @@
 //!    prefix instead of t=0. This is what turns the engine's
 //!    whole-`TrialResult` cache into partial-trajectory reuse.
 //!
-//! The module also holds the campaign's lazy [`WorkQueue`], which
-//! materializes a fresh task copy only when a host takes it.
+//! The module also holds the science-block constant that the archetype
+//! solver and the hydration probes both read, and the campaign's lazy
+//! [`WorkQueue`], which materializes a fresh task copy only when a host
+//! takes it.
 //!
 //! Everything here is behaviour-transparent by contract: the
 //! hydrated-reference substrate and `RunOptions::fastforward(false)`
-//! bypass every cache, and the equivalence suites plus
+//! bypass both caches (the science block is a pure constant, not a
+//! cache, and every mode reads it), and the equivalence suites plus
 //! `bench.sh --check` pin the fast path bit-identical to both.
 
 use crate::faults::ChurnConfig;
@@ -85,10 +87,10 @@ pub fn stats() -> FastForwardStats {
 static SCIENCE_BLOCK: OnceLock<OpBlock> = OnceLock::new();
 
 /// The Einstein surrogate instruction block, cached process-wide: a
-/// pure constant (fixed kernel, fixed seed), so the cached clone is
+/// pure constant (fixed kernel, fixed seed), so the cached block is
 /// bit-identical to a fresh construction.
-pub(crate) fn science_block_cached() -> OpBlock {
-    SCIENCE_BLOCK.get_or_init(crate::sim::science_block).clone()
+pub(crate) fn science_block_cached() -> &'static OpBlock {
+    SCIENCE_BLOCK.get_or_init(crate::sim::science_block)
 }
 
 /// FNV-1a digest of a mode's [`crate::archetype::solver_key`], keying
@@ -315,8 +317,7 @@ impl WorkQueue {
 }
 
 /// Test hook, registered in `GLOBALS.toml`: clear every fast-forward
-/// reuse layer and counter (plus the archetype vm-factor memo) so a
-/// test can force a provably cold state.
+/// reuse layer and counter so a test can force a provably cold state.
 /// Locks are taken one at a time in rank order, never nested.
 pub fn reset_all() {
     *MEASURED_DILATION
@@ -329,7 +330,6 @@ pub fn reset_all() {
     SEGMENT_MISSES.store(0, Ordering::SeqCst);
     TRAJECTORY_HITS.store(0, Ordering::SeqCst);
     TRAJECTORY_MISSES.store(0, Ordering::SeqCst);
-    crate::archetype::reset_vm_factor_memo();
 }
 
 #[cfg(test)]

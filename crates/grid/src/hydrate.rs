@@ -213,7 +213,7 @@ pub(crate) fn measure_dilation_direct(mode: &ExecutionMode, coalesce: bool) -> f
     let native = run_probe(block.clone(), coalesce);
     let dilated = match mode {
         ExecutionMode::Native => native,
-        ExecutionMode::Vm(profile) => run_probe(profile.dilate(&block), coalesce),
+        ExecutionMode::Vm(profile) => run_probe(profile.dilate(block), coalesce),
     };
     dilated / native
 }
@@ -225,7 +225,7 @@ pub(crate) fn probe_footprint_bytes(mode: &ExecutionMode) -> u64 {
     let block = crate::fastforward::science_block_cached();
     match mode {
         ExecutionMode::Native => 2 * block.working_set,
-        ExecutionMode::Vm(profile) => block.working_set + profile.dilate(&block).working_set,
+        ExecutionMode::Vm(profile) => block.working_set + profile.dilate(block).working_set,
     }
 }
 

@@ -34,6 +34,8 @@ use crate::hydrate::{HydrationPool, ProbeSpec};
 use crate::migration;
 use crate::model::{DeployConfig, ExecutionMode, GridReport, PoolConfig, ProjectConfig};
 use crate::options::RunOptions;
+use std::borrow::Borrow;
+use vgrid_machine::ops::OpBlock;
 use vgrid_machine::MachineSpec;
 use vgrid_simcore::{
     CalendarQueue, DetMap, DetSet, EventQueue, EventScheduler, SimDuration, SimRng, SimTime,
@@ -45,7 +47,7 @@ use vgrid_workloads::kernel::Kernel;
 /// The Einstein-style surrogate instruction block every grid task is
 /// modeled on — shared by the analytic dilation solver below and the
 /// full-fidelity hydration probes in [`crate::hydrate`].
-pub(crate) fn science_block() -> vgrid_machine::ops::OpBlock {
+pub(crate) fn science_block() -> OpBlock {
     let kernel = EinsteinKernel {
         fft_len: 4096,
         templates: 4,
@@ -53,7 +55,7 @@ pub(crate) fn science_block() -> vgrid_machine::ops::OpBlock {
     };
     let mut ops = OpCounter::new();
     kernel.run(&mut ops);
-    vgrid_machine::ops::OpBlock {
+    OpBlock {
         label: "grid-task".to_string(),
         counts: ops.to_counts(),
         working_set: kernel.working_set(),
@@ -62,16 +64,29 @@ pub(crate) fn science_block() -> vgrid_machine::ops::OpBlock {
 }
 
 /// Derive the CPU slowdown of VM execution for the Einstein-style
-/// workload from a monitor profile, via the machine model.
+/// workload from a monitor profile, via the machine model. Builds the
+/// science block from scratch on every call (the reference path).
 pub fn vm_cpu_factor(mode: &ExecutionMode) -> f64 {
+    vm_cpu_factor_on(mode, science_block)
+}
+
+/// [`vm_cpu_factor`] over a caller-supplied science block, which is
+/// only built (or fetched) for VM modes. The dilation is a closed form
+/// over the block, so any bit-identical block gives a bit-identical
+/// factor.
+pub(crate) fn vm_cpu_factor_on<B: Borrow<OpBlock>>(
+    mode: &ExecutionMode,
+    block: impl FnOnce() -> B,
+) -> f64 {
     match mode {
         ExecutionMode::Native => 1.0,
         ExecutionMode::Vm(profile) => {
-            let block = science_block();
+            let block = block();
+            let block = block.borrow();
             let cpu = MachineSpec::core2_duo_6600().cpu_model();
-            let native = cpu.solo_estimate(&block).duration.as_secs_f64();
+            let native = cpu.solo_estimate(block).duration.as_secs_f64();
             let dilated = cpu
-                .solo_estimate(&profile.dilate(&block))
+                .solo_estimate(&profile.dilate(block))
                 .duration
                 .as_secs_f64();
             dilated / native
@@ -245,15 +260,15 @@ struct RunCtx<'a> {
 /// Which host substrate executes a campaign. The two substrates are
 /// **bit-identical by contract**: they run the same per-event handlers
 /// (`SimState`'s `on_*` methods) and differ only in the event-queue
-/// implementation, in whether the archetype solver's memo is consulted,
-/// and in whether fresh work copies materialize lazily or eagerly —
-/// all validated by the `hydration_equivalence` and
+/// implementation, in whether the archetype solver reuses the cached
+/// science block, and in whether fresh work copies materialize lazily
+/// or eagerly — all validated by the `hydration_equivalence` and
 /// `hydration_reference` test suites.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubstrateMode {
     /// Archetype-batched analytic substrate on the sharded calendar
-    /// queue with the memoized segment solver and the lazy work queue
-    /// (the default).
+    /// queue with the cached-block segment solver and the lazy work
+    /// queue (the default).
     Batched,
     /// Reference substrate: flat binary-heap event queue, solver
     /// recomputed from scratch, every copy issued up front
@@ -412,10 +427,10 @@ fn init_state<Q: EventScheduler<Ev>>(
         ..
     } = *cx;
     let rng = SimRng::new(seed ^ 0x617d_517d);
-    // Per-archetype segment solve. The batched substrate consults the
-    // process-wide memo; the reference substrate recomputes from
-    // scratch. Both produce bit-identical constants (the memo stores
-    // only solver *inputs* — see `crate::archetype`).
+    // Per-archetype segment solve. The batched substrate dilates the
+    // process-wide cached science block; the reference substrate
+    // rebuilds the block from scratch. Both produce bit-identical
+    // constants (see `crate::archetype`).
     let solution = match options.substrate {
         SubstrateMode::Batched => archetype::solve(deploy),
         SubstrateMode::HydratedReference => archetype::solve_direct(deploy),

@@ -16,9 +16,14 @@
 //! `render_request(parse_request(doc))` is a fixed point and digests
 //! over the canonical form are stable.
 //!
+//! `vgrid serve` feeds untrusted bodies (up to 4 MiB) straight into
+//! this parser, so it is built to fail fast: nesting is capped at 64
+//! levels (a `json` error instead of a stack overflow), and both the
+//! string scan and the duplicate-key check are linear in the body.
+//!
 //! `simobs::json` deliberately has no parser (its artifacts are gated
 //! with `cmp`); the wire format is the one place the workspace accepts
-//! JSON *input*, which is why the parser lives here and not there.
+//! JSON *input*, so this is the workspace's only JSON parser.
 
 use crate::campaign::{CampaignResult, CampaignSpec, METRIC_NAMES};
 use crate::error::Error;
@@ -28,7 +33,7 @@ use crate::model::{DeployConfig, ExecutionMode, PoolConfig, ProjectConfig};
 use crate::options::{RunOptions, SchedulerMode};
 use crate::sim::SubstrateMode;
 use vgrid_simcore::time::PS_PER_SEC;
-use vgrid_simcore::{SimDuration, SimTime};
+use vgrid_simcore::{DetSet, SimDuration, SimTime};
 use vgrid_simobs::{fnv1a64, json};
 use vgrid_vmm::VmmProfile;
 
@@ -142,9 +147,16 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting a document may use. Real requests
+/// nest three levels; the bound keeps the recursive-descent parser from
+/// overflowing the stack on hostile input (a 200 KB body of `[` would).
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     s: &'a [u8],
     i: usize,
+    /// Containers currently open around the cursor.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -190,8 +202,8 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Json, WireError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.eat_keyword("true").map(|_| Json::Bool(true)),
             Some(b'f') => self.eat_keyword("false").map(|_| Json::Bool(false)),
@@ -202,9 +214,25 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Parse one container a level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, WireError>,
+    ) -> Result<Json, WireError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
+    }
+
     fn object(&mut self) -> Result<Json, WireError> {
         self.eat(b'{')?;
         let mut fields = Vec::new();
+        let mut seen = DetSet::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.i += 1;
@@ -213,7 +241,7 @@ impl<'a> Parser<'a> {
         loop {
             self.skip_ws();
             let key = self.string()?;
-            if fields.iter().any(|(k, _)| *k == key) {
+            if !seen.insert(key.clone()) {
                 return Err(WireError::invalid(format!("duplicate key {key:?}")));
             }
             self.skip_ws();
@@ -296,13 +324,18 @@ impl<'a> Parser<'a> {
                     self.i += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest =
-                        std::str::from_utf8(&self.s[self.i..]).expect("parser input was a &str");
-                    let c = rest.chars().next().expect("peeked a byte");
-                    out.push(c);
-                    self.i += c.len_utf8();
+                    // Copy the run up to the next quote or backslash in
+                    // one slice. Both are ASCII, so on a &str input the
+                    // run ends on a character boundary.
+                    let rest = &self.s[self.i..];
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(
+                        std::str::from_utf8(&rest[..run]).expect("parser input was a &str"),
+                    );
+                    self.i += run;
                 }
             }
         }
@@ -352,6 +385,7 @@ fn parse_json(text: &str) -> Result<Json, WireError> {
     let mut p = Parser {
         s: text.as_bytes(),
         i: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -1061,6 +1095,44 @@ mod tests {
     fn duplicate_keys_are_rejected() {
         let e = parse_request(r#"{"spec_version": 1, "spec_version": 1}"#).unwrap_err();
         assert_eq!(e.kind, WireErrorKind::Invalid);
+    }
+
+    #[test]
+    fn deep_nesting_is_a_json_error_not_a_stack_overflow() {
+        let n = 100_000;
+        let body = format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let e = parse_request(&body).unwrap_err();
+        assert_eq!(e.kind, WireErrorKind::Json);
+        assert!(e.message.contains("nesting deeper than 64"), "{e}");
+        // The limit itself still parses (and then fails as a non-object).
+        let body = format!("{}{}", "[".repeat(64), "]".repeat(64));
+        assert_eq!(
+            parse_request(&body).unwrap_err().kind,
+            WireErrorKind::Invalid
+        );
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 2 MiB of mixed one- and two-byte characters: quadratic
+        // re-validation of the remaining body would take minutes here.
+        let label = "xé".repeat(2 << 19);
+        let body = format!(r#"{{"spec_version": 1, "label": "{label}\n"}}"#);
+        let req = parse_request(&body).unwrap();
+        assert_eq!(req.spec.label, format!("{label}\n"));
+    }
+
+    #[test]
+    fn many_keys_check_duplicates_in_linear_time() {
+        // 100k keys: an all-pairs duplicate scan would take minutes here.
+        let mut body = String::from(r#"{"spec_version": 1"#);
+        for k in 0..100_000 {
+            body.push_str(&format!(r#", "k{k}": 0"#));
+        }
+        body.push_str(r#", "k0": 0}"#);
+        let e = parse_request(&body).unwrap_err();
+        assert_eq!(e.kind, WireErrorKind::Invalid);
+        assert_eq!(e.message, r#"duplicate key "k0""#);
     }
 
     #[test]

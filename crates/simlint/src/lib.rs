@@ -59,7 +59,8 @@ use std::io;
 use std::path::Path;
 
 use lexer::{Kind, Lexed, Tok};
-use parse::{match_paren, Items, StaticDecl};
+use parse::{match_paren, FnDecl, Items, StaticDecl};
+use registry::GlobalEntry;
 
 /// The crates whose source must be free of iteration-order,
 /// comparison, and shared-state nondeterminism. Everything under
@@ -295,32 +296,35 @@ fn parse_pragmas(path: &str, comments: &[(usize, String)], diags: &mut Vec<Diagn
             cursor += pos + marker.len();
             let after = after.trim_start();
             let Some(rest) = after.strip_prefix("allow(") else {
-                diags.push(Diagnostic {
-                    path: path.to_string(),
-                    line: lineno,
-                    rule: Rule::BadPragma,
-                    message: "expected `allow(<rule>) -- <reason>` after `simlint:`".into(),
-                });
+                report(
+                    diags,
+                    path,
+                    lineno,
+                    Rule::BadPragma,
+                    "expected `allow(<rule>) -- <reason>` after `simlint:`",
+                );
                 continue;
             };
             let Some(close) = rest.find(')') else {
-                diags.push(Diagnostic {
-                    path: path.to_string(),
-                    line: lineno,
-                    rule: Rule::BadPragma,
-                    message: "unclosed `allow(` pragma".into(),
-                });
+                report(
+                    diags,
+                    path,
+                    lineno,
+                    Rule::BadPragma,
+                    "unclosed `allow(` pragma",
+                );
                 continue;
             };
             let id = rest[..close].trim();
             let tail = rest[close + 1..].trim_start();
             let Some(rule) = Rule::from_pragma_id(id) else {
-                diags.push(Diagnostic {
-                    path: path.to_string(),
-                    line: lineno,
-                    rule: Rule::BadPragma,
-                    message: format!("unknown or non-allowable rule `{id}` in pragma"),
-                });
+                report(
+                    diags,
+                    path,
+                    lineno,
+                    Rule::BadPragma,
+                    format!("unknown or non-allowable rule `{id}` in pragma"),
+                );
                 continue;
             };
             let reason_ok = tail
@@ -328,12 +332,13 @@ fn parse_pragmas(path: &str, comments: &[(usize, String)], diags: &mut Vec<Diagn
                 .map(|r| !r.trim().is_empty())
                 .unwrap_or(false);
             if !reason_ok {
-                diags.push(Diagnostic {
-                    path: path.to_string(),
-                    line: lineno,
-                    rule: Rule::BadPragma,
-                    message: format!("pragma `allow({id})` needs a justification: `-- <reason>`"),
-                });
+                report(
+                    diags,
+                    path,
+                    lineno,
+                    Rule::BadPragma,
+                    format!("pragma `allow({id})` needs a justification: `-- <reason>`"),
+                );
                 continue;
             }
             allows.entry(lineno).or_default().push(rule);
@@ -460,12 +465,63 @@ struct LockEdge {
     allowed: bool,
 }
 
+/// Record one finding. Every pass reports through here; findings that
+/// a pragma may suppress go through [`Prep::flag`] first.
+fn report(
+    diags: &mut Vec<Diagnostic>,
+    path: &str,
+    line: usize,
+    rule: Rule,
+    message: impl Into<String>,
+) {
+    diags.push(Diagnostic {
+        path: path.to_string(),
+        line,
+        rule,
+        message: message.into(),
+    });
+}
+
+impl Prep<'_> {
+    /// Report a finding in this file unless a pragma allows `rule` on
+    /// `line`.
+    fn flag(
+        &self,
+        diags: &mut Vec<Diagnostic>,
+        line: usize,
+        rule: Rule,
+        message: impl Into<String>,
+    ) {
+        if !allowed(&self.allows, rule, line) {
+            report(diags, &self.file.path, line, rule, message);
+        }
+    }
+}
+
 /// Run every rule over the given files. Paths are workspace-relative
 /// with `/` separators; diagnostics come back sorted by (path, line).
 pub fn lint(files: &[SourceFile]) -> Vec<Diagnostic> {
     let mut diags: Vec<Diagnostic> = Vec::new();
+    let registry = registry_file(files, &mut diags);
+    let preps = prepare(files, &mut diags);
+    for p in &preps {
+        token_rules(p, &mut diags);
+        mutex_poison(p, &mut diags);
+        float_fold_order(p, &mut diags);
+        forbid_unsafe(p, &mut diags);
+    }
+    global_state_registry(&preps, &registry, &mut diags);
+    send_clean(&preps, &mut diags);
+    lock_order(&preps, &registry, &mut diags);
+    stray_files(files, &preps, &mut diags);
+    diags.sort();
+    diags.dedup();
+    diags
+}
 
-    // ---- Registry -------------------------------------------------
+/// Parse `GLOBALS.toml` (empty when absent), reporting syntax errors
+/// and duplicate entries. Registry-file findings are unsuppressible.
+fn registry_file(files: &[SourceFile], diags: &mut Vec<Diagnostic>) -> Vec<GlobalEntry> {
     let registry_text = files
         .iter()
         .find(|f| f.path == REGISTRY_PATH)
@@ -475,25 +531,30 @@ pub fn lint(files: &[SourceFile]) -> Vec<Diagnostic> {
         None => (Vec::new(), Vec::new()),
     };
     for (line, message) in reg_errors {
-        diags.push(Diagnostic {
-            path: REGISTRY_PATH.to_string(),
+        report(
+            diags,
+            REGISTRY_PATH,
             line,
-            rule: Rule::GlobalStateRegistry,
+            Rule::GlobalStateRegistry,
             message,
-        });
+        );
     }
     for (i, e) in registry.iter().enumerate() {
         if registry[..i].iter().any(|p| p.name == e.name) {
-            diags.push(Diagnostic {
-                path: REGISTRY_PATH.to_string(),
-                line: e.line,
-                rule: Rule::GlobalStateRegistry,
-                message: format!("duplicate registry entry for `{}`", e.name),
-            });
+            report(
+                diags,
+                REGISTRY_PATH,
+                e.line,
+                Rule::GlobalStateRegistry,
+                format!("duplicate registry entry for `{}`", e.name),
+            );
         }
     }
+    registry
+}
 
-    // ---- Per-file preparation ------------------------------------
+/// Lex, item-parse and read the pragmas of every `.rs` file.
+fn prepare<'a>(files: &'a [SourceFile], diags: &mut Vec<Diagnostic>) -> Vec<Prep<'a>> {
     let mut preps: Vec<Prep> = Vec::new();
     for f in files {
         if !f.path.ends_with(".rs") {
@@ -502,7 +563,7 @@ pub fn lint(files: &[SourceFile]) -> Vec<Diagnostic> {
         let Some(text) = &f.text else { continue };
         let lexed = lexer::lex(text);
         let items = parse::parse(&lexed.toks);
-        let allows = parse_pragmas(&f.path, &lexed.comments, &mut diags);
+        let allows = parse_pragmas(&f.path, &lexed.comments, diags);
         preps.push(Prep {
             file: f,
             lexed,
@@ -510,203 +571,175 @@ pub fn lint(files: &[SourceFile]) -> Vec<Diagnostic> {
             allows,
         });
     }
+    preps
+}
 
-    // Per-unit `mod name;` declarations (stray-file).
-    let mut mod_decls: BTreeMap<String, Vec<String>> = BTreeMap::new();
-    for p in &preps {
-        let decls = mod_decls.entry(unit_of(&p.file.path)).or_default();
-        let toks = &p.lexed.toks;
-        for i in 0..toks.len() {
-            if toks[i].is_ident("mod") {
-                if let Some(name) = ident_at(toks, i + 1) {
-                    if is_punct(toks, i + 2, ';') {
-                        decls.push(name.to_string());
-                    }
-                }
-            }
-        }
-    }
+const WALL_CLOCK_MSG: &str = "host wall-clock reads are banned outside the criterion/timeref \
+                              shims; simulated time comes from `vgrid_simcore::SimTime`";
 
-    // ---- Token rules ---------------------------------------------
-    for p in &preps {
-        let path = &p.file.path;
-        let toks = &p.lexed.toks;
-        let push = |line: usize, rule: Rule, message: String, diags: &mut Vec<Diagnostic>| {
-            if !allowed(&p.allows, rule, line) {
-                diags.push(Diagnostic {
-                    path: path.clone(),
-                    line,
-                    rule,
-                    message,
-                });
+/// The single-token rules: hash-collections, wall-clock,
+/// ambient-entropy, unstable-sort and substrate-collections.
+fn token_rules(p: &Prep, diags: &mut Vec<Diagnostic>) {
+    let path = &p.file.path;
+    let toks = &p.lexed.toks;
+    for (i, t) in toks.iter().enumerate() {
+        let Some(id) = t.ident() else { continue };
+        let (rule, message) = match id {
+            "HashMap" | "HashSet" if in_sim_crate(path) => (
+                Rule::HashCollections,
+                format!(
+                    "`{id}` iterates in RandomState order; use \
+                     `vgrid_simcore::DetMap`/`DetSet` in sim crates"
+                ),
+            ),
+            "SystemTime" if !in_wall_clock_shim(path) => (Rule::WallClock, WALL_CLOCK_MSG.into()),
+            "Instant"
+                if !in_wall_clock_shim(path)
+                    && is_punct(toks, i + 1, ':')
+                    && is_punct(toks, i + 2, ':')
+                    && ident_at(toks, i + 3) == Some("now") =>
+            {
+                (Rule::WallClock, WALL_CLOCK_MSG.into())
             }
+            "thread_rng" | "from_entropy" | "OsRng" | "getrandom" if path != ENTROPY_SHIM => (
+                Rule::AmbientEntropy,
+                "ambient entropy is banned outside `simcore::rng`; \
+                 fork a seeded `SimRng` stream instead"
+                    .into(),
+            ),
+            s if s.starts_with("sort_unstable") => (
+                Rule::UnstableSort,
+                "`sort_unstable*` reorders equal keys; prove the key is total and \
+                 annotate, or use a stable sort"
+                    .into(),
+            ),
+            "BTreeMap" | "BTreeSet" if SUBSTRATE_FILES.contains(&path.as_str()) => (
+                Rule::SubstrateCollections,
+                "host-substrate state must use `vgrid_simcore::DetMap`/`DetSet` so the \
+                 batched/hydrated equivalence contract stays visible in the types"
+                    .into(),
+            ),
+            _ => continue,
         };
+        p.flag(diags, t.line, rule, message);
+    }
+}
 
-        for (i, t) in toks.iter().enumerate() {
-            let Some(id) = t.ident() else { continue };
-            match id {
-                "HashMap" | "HashSet" if in_sim_crate(path) => push(
-                    t.line,
-                    Rule::HashCollections,
-                    format!(
-                        "`{id}` iterates in RandomState order; use \
-                         `vgrid_simcore::DetMap`/`DetSet` in sim crates"
-                    ),
-                    &mut diags,
-                ),
-                "SystemTime" if !in_wall_clock_shim(path) => push(
-                    t.line,
-                    Rule::WallClock,
-                    "host wall-clock reads are banned outside the criterion/timeref shims; \
-                     simulated time comes from `vgrid_simcore::SimTime`"
-                        .to_string(),
-                    &mut diags,
-                ),
-                "Instant"
-                    if !in_wall_clock_shim(path)
-                        && is_punct(toks, i + 1, ':')
-                        && is_punct(toks, i + 2, ':')
-                        && ident_at(toks, i + 3) == Some("now") =>
-                {
-                    push(
-                        t.line,
-                        Rule::WallClock,
-                        "host wall-clock reads are banned outside the criterion/timeref shims; \
-                         simulated time comes from `vgrid_simcore::SimTime`"
-                            .to_string(),
-                        &mut diags,
-                    )
-                }
-                "thread_rng" | "from_entropy" | "OsRng" | "getrandom" if path != ENTROPY_SHIM => {
-                    push(
-                        t.line,
-                        Rule::AmbientEntropy,
-                        "ambient entropy is banned outside `simcore::rng`; \
-                         fork a seeded `SimRng` stream instead"
-                            .to_string(),
-                        &mut diags,
-                    )
-                }
-                s if s.starts_with("sort_unstable") => push(
-                    t.line,
-                    Rule::UnstableSort,
-                    "`sort_unstable*` reorders equal keys; prove the key is total and \
-                     annotate, or use a stable sort"
-                        .to_string(),
-                    &mut diags,
-                ),
-                "BTreeMap" | "BTreeSet" if SUBSTRATE_FILES.contains(&path.as_str()) => push(
-                    t.line,
-                    Rule::SubstrateCollections,
-                    "host-substrate state must use `vgrid_simcore::DetMap`/`DetSet` so the \
-                     batched/hydrated equivalence contract stays visible in the types"
-                        .to_string(),
-                    &mut diags,
-                ),
-                _ => {}
-            }
-        }
-
-        // mutex-poison: `.lock().unwrap()` anywhere in a sim crate.
-        if in_sim_crate(path) {
-            for i in 0..toks.len() {
-                if toks[i].is_punct('.')
-                    && ident_at(toks, i + 1) == Some("lock")
-                    && is_punct(toks, i + 2, '(')
-                    && is_punct(toks, i + 3, ')')
-                    && is_punct(toks, i + 4, '.')
-                    && ident_at(toks, i + 5) == Some("unwrap")
-                {
-                    let line = toks[i + 5].line;
-                    push(
-                        line,
-                        Rule::MutexPoison,
-                        "bare `.lock().unwrap()` loses the poison context; use \
-                         `.lock().expect(\"<which lock> poisoned\")` so a crashed thread \
-                         names the lock it corrupted"
-                            .to_string(),
-                        &mut diags,
-                    );
-                }
-            }
-        }
-
-        // float-fold-order: `.sum()`/`.product()`/`.fold(…)` whose
-        // statement mentions f32/f64 or a float literal, outside the
-        // blessed fixed-op-order helpers.
-        if in_sim_crate(path) && !FLOAT_FOLD_BLESSED.contains(&path.as_str()) {
-            for i in 0..toks.len() {
-                if !toks[i].is_punct('.') {
-                    continue;
-                }
-                let Some(m) = ident_at(toks, i + 1) else {
-                    continue;
-                };
-                if !matches!(m, "sum" | "product" | "fold") {
-                    continue;
-                }
-                // Statement window: back to the previous `;`/`{`/`}`,
-                // forward through the call's argument list.
-                let mut a = i;
-                while a > 0 {
-                    match toks[a - 1].kind {
-                        Kind::Punct(';') | Kind::Punct('{') | Kind::Punct('}') => break,
-                        _ => a -= 1,
-                    }
-                }
-                let mut b = i + 1;
-                for j in i + 2..(i + 8).min(toks.len()) {
-                    if toks[j].is_punct('(') {
-                        b = match_paren(toks, j).unwrap_or(j);
-                        break;
-                    }
-                }
-                let floaty = toks[a..=b.min(toks.len() - 1)]
-                    .iter()
-                    .any(|t| t.is_float() || t.is_ident("f64") || t.is_ident("f32"));
-                if floaty {
-                    push(
-                        toks[i + 1].line,
-                        Rule::FloatFoldOrder,
-                        format!(
-                            "float `.{m}()` reduction: summation order changes the result \
-                             bit-for-bit; use the fixed-op-order helpers in \
-                             `vgrid_simcore::stats` or justify the op order with a pragma"
-                        ),
-                        &mut diags,
-                    );
-                }
-            }
-        }
-
-        // forbid-unsafe: crate roots must carry the attribute.
-        let is_crate_root =
-            path == "src/lib.rs" || (path.starts_with("crates/") && path.ends_with("/src/lib.rs"));
-        if is_crate_root {
-            let has_forbid = (0..toks.len()).any(|i| {
-                toks[i].is_punct('#')
-                    && is_punct(toks, i + 1, '!')
-                    && is_punct(toks, i + 2, '[')
-                    && ident_at(toks, i + 3) == Some("forbid")
-                    && is_punct(toks, i + 4, '(')
-                    && ident_at(toks, i + 5) == Some("unsafe_code")
-                    && is_punct(toks, i + 6, ')')
-                    && is_punct(toks, i + 7, ']')
-            });
-            if !has_forbid {
-                diags.push(Diagnostic {
-                    path: path.clone(),
-                    line: 1,
-                    rule: Rule::ForbidUnsafe,
-                    message: "crate root is missing `#![forbid(unsafe_code)]`".to_string(),
-                });
-            }
+/// mutex-poison: `.lock().unwrap()` anywhere in a sim crate.
+fn mutex_poison(p: &Prep, diags: &mut Vec<Diagnostic>) {
+    if !in_sim_crate(&p.file.path) {
+        return;
+    }
+    let toks = &p.lexed.toks;
+    for i in 0..toks.len() {
+        if toks[i].is_punct('.')
+            && ident_at(toks, i + 1) == Some("lock")
+            && is_punct(toks, i + 2, '(')
+            && is_punct(toks, i + 3, ')')
+            && is_punct(toks, i + 4, '.')
+            && ident_at(toks, i + 5) == Some("unwrap")
+        {
+            p.flag(
+                diags,
+                toks[i + 5].line,
+                Rule::MutexPoison,
+                "bare `.lock().unwrap()` loses the poison context; use \
+                 `.lock().expect(\"<which lock> poisoned\")` so a crashed thread \
+                 names the lock it corrupted",
+            );
         }
     }
+}
 
-    // ---- global-state-registry -----------------------------------
+/// float-fold-order: `.sum()`/`.product()`/`.fold(…)` whose statement
+/// mentions f32/f64 or a float literal, outside the blessed
+/// fixed-op-order helpers.
+fn float_fold_order(p: &Prep, diags: &mut Vec<Diagnostic>) {
+    let path = &p.file.path;
+    if !in_sim_crate(path) || FLOAT_FOLD_BLESSED.contains(&path.as_str()) {
+        return;
+    }
+    let toks = &p.lexed.toks;
+    for i in 0..toks.len() {
+        if !toks[i].is_punct('.') {
+            continue;
+        }
+        let Some(m) = ident_at(toks, i + 1) else {
+            continue;
+        };
+        if !matches!(m, "sum" | "product" | "fold") {
+            continue;
+        }
+        // Statement window: back to the previous `;`/`{`/`}`, forward
+        // through the call's argument list.
+        let mut a = i;
+        while a > 0 {
+            match toks[a - 1].kind {
+                Kind::Punct(';') | Kind::Punct('{') | Kind::Punct('}') => break,
+                _ => a -= 1,
+            }
+        }
+        let mut b = i + 1;
+        for j in i + 2..(i + 8).min(toks.len()) {
+            if toks[j].is_punct('(') {
+                b = match_paren(toks, j).unwrap_or(j);
+                break;
+            }
+        }
+        let floaty = toks[a..=b.min(toks.len() - 1)]
+            .iter()
+            .any(|t| t.is_float() || t.is_ident("f64") || t.is_ident("f32"));
+        if floaty {
+            p.flag(
+                diags,
+                toks[i + 1].line,
+                Rule::FloatFoldOrder,
+                format!(
+                    "float `.{m}()` reduction: summation order changes the result \
+                     bit-for-bit; use the fixed-op-order helpers in \
+                     `vgrid_simcore::stats` or justify the op order with a pragma"
+                ),
+            );
+        }
+    }
+}
+
+/// forbid-unsafe: crate roots must carry the attribute. Unsuppressible.
+fn forbid_unsafe(p: &Prep, diags: &mut Vec<Diagnostic>) {
+    let path = &p.file.path;
+    let is_crate_root =
+        path == "src/lib.rs" || (path.starts_with("crates/") && path.ends_with("/src/lib.rs"));
+    if !is_crate_root {
+        return;
+    }
+    let toks = &p.lexed.toks;
+    let has_forbid = (0..toks.len()).any(|i| {
+        toks[i].is_punct('#')
+            && is_punct(toks, i + 1, '!')
+            && is_punct(toks, i + 2, '[')
+            && ident_at(toks, i + 3) == Some("forbid")
+            && is_punct(toks, i + 4, '(')
+            && ident_at(toks, i + 5) == Some("unsafe_code")
+            && is_punct(toks, i + 6, ')')
+            && is_punct(toks, i + 7, ']')
+    });
+    if !has_forbid {
+        report(
+            diags,
+            path,
+            1,
+            Rule::ForbidUnsafe,
+            "crate root is missing `#![forbid(unsafe_code)]`",
+        );
+    }
+}
+
+/// global-state-registry: every interior-mutable static in sim-crate
+/// source is registered with the right kind, and every registry entry
+/// names a static that exists (that direction is unsuppressible).
+fn global_state_registry(preps: &[Prep], registry: &[GlobalEntry], diags: &mut Vec<Diagnostic>) {
     let mut found: Vec<(&str, &str)> = Vec::new(); // (name, path) of classified statics
-    for p in &preps {
+    for p in preps {
         let path = &p.file.path;
         if !in_sim_src(path) {
             continue;
@@ -716,220 +749,129 @@ pub fn lint(files: &[SourceFile]) -> Vec<Diagnostic> {
                 continue;
             };
             found.push((s.name.as_str(), path.as_str()));
-            if allowed(&p.allows, Rule::GlobalStateRegistry, s.line) {
-                continue;
-            }
-            match registry
+            let message = match registry
                 .iter()
                 .find(|e| e.name == s.name && e.path == *path)
             {
-                None => diags.push(Diagnostic {
-                    path: path.clone(),
-                    line: s.line,
-                    rule: Rule::GlobalStateRegistry,
-                    message: format!(
-                        "interior-mutable static `{}` ({kind}) is not declared in GLOBALS.toml; \
-                         register it with an owner, kind, and reset hook",
-                        s.name
-                    ),
-                }),
-                Some(e) if e.kind != kind => diags.push(Diagnostic {
-                    path: path.clone(),
-                    line: s.line,
-                    rule: Rule::GlobalStateRegistry,
-                    message: format!(
-                        "static `{}` is `{kind}` in code but `{}` in GLOBALS.toml",
-                        s.name, e.kind
-                    ),
-                }),
-                Some(_) => {}
-            }
+                None => format!(
+                    "interior-mutable static `{}` ({kind}) is not declared in GLOBALS.toml; \
+                     register it with an owner, kind, and reset hook",
+                    s.name
+                ),
+                Some(e) if e.kind != kind => format!(
+                    "static `{}` is `{kind}` in code but `{}` in GLOBALS.toml",
+                    s.name, e.kind
+                ),
+                Some(_) => continue,
+            };
+            p.flag(diags, s.line, Rule::GlobalStateRegistry, message);
         }
     }
-    for e in &registry {
+    for e in registry {
         if !found.iter().any(|(n, p)| *n == e.name && *p == e.path) {
-            diags.push(Diagnostic {
-                path: REGISTRY_PATH.to_string(),
-                line: e.line,
-                rule: Rule::GlobalStateRegistry,
-                message: format!(
+            report(
+                diags,
+                REGISTRY_PATH,
+                e.line,
+                Rule::GlobalStateRegistry,
+                format!(
                     "registry entry `{}` has no matching static in `{}`; \
                      remove the entry or fix its path",
                     e.name, e.path
                 ),
-            });
+            );
         }
     }
+}
 
-    // ---- send-clean ----------------------------------------------
+/// send-clean: no cell types in sim-crate statics, and none in any
+/// type reachable from [`SEND_CLEAN_ROOTS`] through field types.
+fn send_clean(preps: &[Prep], diags: &mut Vec<Diagnostic>) {
     // (a) Interior-mutability cells in sim-crate statics (e.g. a
     // `thread_local!` `RefCell`) need an explicit justification.
-    for p in &preps {
-        let path = &p.file.path;
-        if !in_sim_src(path) {
-            continue;
-        }
+    for p in preps.iter().filter(|p| in_sim_src(&p.file.path)) {
         for s in &p.items.statics {
             if let Some(bad) = send_unclean_ident(&s.ty) {
-                if !allowed(&p.allows, Rule::SendClean, s.line) {
-                    diags.push(Diagnostic {
-                        path: path.clone(),
-                        line: s.line,
-                        rule: Rule::SendClean,
-                        message: format!(
-                            "`{bad}` in static `{}`: cell state is invisible to the \
-                             Send checker; justify with a pragma that it never crosses \
-                             threads, or use a lock",
-                            s.name
-                        ),
-                    });
-                }
+                p.flag(
+                    diags,
+                    s.line,
+                    Rule::SendClean,
+                    format!(
+                        "`{bad}` in static `{}`: cell state is invisible to the \
+                         Send checker; justify with a pragma that it never crosses \
+                         threads, or use a lock",
+                        s.name
+                    ),
+                );
             }
         }
     }
     // (b) Reachability from the serve-critical roots over field types.
-    {
-        let mut type_map: BTreeMap<&str, Vec<(usize, usize)>> = BTreeMap::new();
-        for (pi, p) in preps.iter().enumerate() {
-            if !in_sim_src(&p.file.path) {
-                continue;
-            }
-            for (ti, td) in p.items.types.iter().enumerate() {
-                type_map.entry(td.name.as_str()).or_default().push((pi, ti));
-            }
+    let mut type_map: BTreeMap<&str, Vec<(usize, usize)>> = BTreeMap::new();
+    for (pi, p) in preps.iter().enumerate() {
+        if !in_sim_src(&p.file.path) {
+            continue;
         }
-        let mut reach: Vec<&str> = SEND_CLEAN_ROOTS.to_vec();
-        let mut queue: Vec<&str> = reach.clone();
-        while let Some(name) = queue.pop() {
-            let Some(defs) = type_map.get(name) else {
-                continue;
-            };
-            for &(pi, ti) in defs {
-                for field in &preps[pi].items.types[ti].fields {
-                    for ty in &field.ty {
-                        if type_map.contains_key(ty.as_str()) && !reach.contains(&ty.as_str()) {
-                            reach.push(ty.as_str());
-                            queue.push(ty.as_str());
-                        }
-                    }
-                }
-            }
+        for (ti, td) in p.items.types.iter().enumerate() {
+            type_map.entry(td.name.as_str()).or_default().push((pi, ti));
         }
-        for name in &reach {
-            let Some(defs) = type_map.get(name) else {
-                continue;
-            };
-            for &(pi, ti) in defs {
-                let p = &preps[pi];
-                let td = &p.items.types[ti];
-                for field in &td.fields {
-                    if let Some(bad) = send_unclean_ident(&field.ty) {
-                        if !allowed(&p.allows, Rule::SendClean, field.line) {
-                            diags.push(Diagnostic {
-                                path: p.file.path.clone(),
-                                line: field.line,
-                                rule: Rule::SendClean,
-                                message: format!(
-                                    "`{bad}` in `{}` is reachable from the serve-critical \
-                                     roots ({}); engine and cache state must be Send-clean",
-                                    td.name,
-                                    SEND_CLEAN_ROOTS.join("/")
-                                ),
-                            });
-                        }
+    }
+    let mut reach: Vec<&str> = SEND_CLEAN_ROOTS.to_vec();
+    let mut queue: Vec<&str> = reach.clone();
+    while let Some(name) = queue.pop() {
+        let Some(defs) = type_map.get(name) else {
+            continue;
+        };
+        for &(pi, ti) in defs {
+            for field in &preps[pi].items.types[ti].fields {
+                for ty in &field.ty {
+                    if type_map.contains_key(ty.as_str()) && !reach.contains(&ty.as_str()) {
+                        reach.push(ty.as_str());
+                        queue.push(ty.as_str());
                     }
                 }
             }
         }
     }
+    for name in &reach {
+        let Some(defs) = type_map.get(name) else {
+            continue;
+        };
+        for &(pi, ti) in defs {
+            let p = &preps[pi];
+            let td = &p.items.types[ti];
+            for field in &td.fields {
+                if let Some(bad) = send_unclean_ident(&field.ty) {
+                    p.flag(
+                        diags,
+                        field.line,
+                        Rule::SendClean,
+                        format!(
+                            "`{bad}` in `{}` is reachable from the serve-critical \
+                             roots ({}); engine and cache state must be Send-clean",
+                            td.name,
+                            SEND_CLEAN_ROOTS.join("/")
+                        ),
+                    );
+                }
+            }
+        }
+    }
+}
 
-    // ---- lock-order ----------------------------------------------
+/// lock-order: walk every sim-crate function for nested acquisitions
+/// of registered locks, then report rank inversions and, as a
+/// backstop, an acquisition cycle (unsuppressible).
+fn lock_order(preps: &[Prep], registry: &[GlobalEntry], diags: &mut Vec<Diagnostic>) {
     let lock_ranks: BTreeMap<&str, Option<u32>> = registry
         .iter()
         .filter(|e| matches!(e.kind.as_str(), "mutex" | "rwlock"))
         .map(|e| (e.name.as_str(), e.rank))
         .collect();
     let mut edges: Vec<LockEdge> = Vec::new();
-    for p in &preps {
-        let path = &p.file.path;
-        if !in_sim_crate(path) {
-            continue;
-        }
-        let toks = &p.lexed.toks;
+    for p in preps.iter().filter(|p| in_sim_crate(&p.file.path)) {
         for f in &p.items.fns {
-            let (open, close) = f.body;
-            let mut depth = 0i32;
-            let mut held: Vec<Hold> = Vec::new();
-            let mut i = open;
-            while i <= close {
-                let t = &toks[i];
-                match &t.kind {
-                    Kind::Punct('{') => depth += 1,
-                    Kind::Punct('}') => {
-                        depth -= 1;
-                        held.retain(|h| h.depth <= depth);
-                    }
-                    // A guard never bound to a name is a temporary:
-                    // dropped at the end of its statement.
-                    Kind::Punct(';') => held.retain(|h| h.binding.is_some() || h.depth != depth),
-                    Kind::Ident(name) => {
-                        if name == "drop"
-                            && is_punct(toks, i + 1, '(')
-                            && is_punct(toks, i + 3, ')')
-                        {
-                            if let Some(b) = ident_at(toks, i + 2) {
-                                held.retain(|h| h.binding.as_deref() != Some(b));
-                            }
-                        } else if lock_ranks.contains_key(name.as_str())
-                            && is_punct(toks, i + 1, '.')
-                            && matches!(ident_at(toks, i + 2), Some("lock" | "read" | "write"))
-                            && is_punct(toks, i + 3, '(')
-                        {
-                            let line = t.line;
-                            let is_allowed = allowed(&p.allows, Rule::LockOrder, line);
-                            // `let [mut] name = GLOBAL.lock()` binding.
-                            let binding = if i >= 2 && toks[i - 1].is_punct('=') {
-                                ident_at(toks, i - 2)
-                                    .filter(|b| *b != "mut" && *b != "let")
-                                    .map(str::to_string)
-                            } else {
-                                None
-                            };
-                            for h in &held {
-                                if h.name == *name {
-                                    if !is_allowed {
-                                        diags.push(Diagnostic {
-                                            path: path.clone(),
-                                            line,
-                                            rule: Rule::LockOrder,
-                                            message: format!(
-                                                "`{name}` re-acquired while already held in \
-                                                 `{}` — self-deadlock",
-                                                f.name
-                                            ),
-                                        });
-                                    }
-                                } else {
-                                    edges.push(LockEdge {
-                                        from: h.name.clone(),
-                                        to: name.clone(),
-                                        path: path.clone(),
-                                        line,
-                                        allowed: is_allowed,
-                                    });
-                                }
-                            }
-                            held.push(Hold {
-                                name: name.clone(),
-                                depth,
-                                binding,
-                            });
-                        }
-                    }
-                    _ => {}
-                }
-                i += 1;
-            }
+            walk_locks(p, f, &lock_ranks, &mut edges, diags);
         }
     }
     // Rank inversions: an edge A -> B needs rank(A) < rank(B).
@@ -944,16 +886,17 @@ pub fn lint(files: &[SourceFile]) -> Vec<Diagnostic> {
         if rf >= rt {
             inversion.push((e.from.as_str(), e.to.as_str()));
             if !e.allowed {
-                diags.push(Diagnostic {
-                    path: e.path.clone(),
-                    line: e.line,
-                    rule: Rule::LockOrder,
-                    message: format!(
+                report(
+                    diags,
+                    &e.path,
+                    e.line,
+                    Rule::LockOrder,
+                    format!(
                         "lock-order inversion: `{}` (rank {rt}) acquired while `{}` \
                          (rank {rf}) is held; ranks must strictly increase",
                         e.to, e.from
                     ),
-                });
+                );
             }
         }
     }
@@ -966,30 +909,128 @@ pub fn lint(files: &[SourceFile]) -> Vec<Diagnostic> {
                 .iter()
                 .find(|e| e.from == cycle[0] && e.to == cycle[1])
                 .expect("cycle edges come from the edge list");
-            diags.push(Diagnostic {
-                path: site.path.clone(),
-                line: site.line,
-                rule: Rule::LockOrder,
-                message: format!("lock acquisition cycle: {}", cycle.join(" -> ")),
-            });
+            report(
+                diags,
+                &site.path,
+                site.line,
+                Rule::LockOrder,
+                format!("lock acquisition cycle: {}", cycle.join(" -> ")),
+            );
         }
     }
+}
 
-    // ---- stray-file -----------------------------------------------
+/// Walk one function body, tracking which registered locks are held
+/// (by brace depth and guard binding). Records an edge for every lock
+/// taken while another is held, and reports re-acquisition of a held
+/// lock as a self-deadlock.
+fn walk_locks(
+    p: &Prep,
+    f: &FnDecl,
+    lock_ranks: &BTreeMap<&str, Option<u32>>,
+    edges: &mut Vec<LockEdge>,
+    diags: &mut Vec<Diagnostic>,
+) {
+    let toks = &p.lexed.toks;
+    let (open, close) = f.body;
+    let mut depth = 0i32;
+    let mut held: Vec<Hold> = Vec::new();
+    for i in open..=close {
+        let t = &toks[i];
+        match &t.kind {
+            Kind::Punct('{') => depth += 1,
+            Kind::Punct('}') => {
+                depth -= 1;
+                held.retain(|h| h.depth <= depth);
+            }
+            // A guard never bound to a name is a temporary: dropped at
+            // the end of its statement.
+            Kind::Punct(';') => held.retain(|h| h.binding.is_some() || h.depth != depth),
+            Kind::Ident(name) => {
+                if name == "drop" && is_punct(toks, i + 1, '(') && is_punct(toks, i + 3, ')') {
+                    if let Some(b) = ident_at(toks, i + 2) {
+                        held.retain(|h| h.binding.as_deref() != Some(b));
+                    }
+                } else if lock_ranks.contains_key(name.as_str())
+                    && is_punct(toks, i + 1, '.')
+                    && matches!(ident_at(toks, i + 2), Some("lock" | "read" | "write"))
+                    && is_punct(toks, i + 3, '(')
+                {
+                    let line = t.line;
+                    // `let [mut] name = GLOBAL.lock()` binding.
+                    let binding = if i >= 2 && toks[i - 1].is_punct('=') {
+                        ident_at(toks, i - 2)
+                            .filter(|b| *b != "mut" && *b != "let")
+                            .map(str::to_string)
+                    } else {
+                        None
+                    };
+                    for h in &held {
+                        if h.name == *name {
+                            p.flag(
+                                diags,
+                                line,
+                                Rule::LockOrder,
+                                format!(
+                                    "`{name}` re-acquired while already held in `{}` — \
+                                     self-deadlock",
+                                    f.name
+                                ),
+                            );
+                        } else {
+                            edges.push(LockEdge {
+                                from: h.name.clone(),
+                                to: name.clone(),
+                                path: p.file.path.clone(),
+                                line,
+                                allowed: allowed(&p.allows, Rule::LockOrder, line),
+                            });
+                        }
+                    }
+                    held.push(Hold {
+                        name: name.clone(),
+                        depth,
+                        binding,
+                    });
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+/// stray-file: every file under a `src/` directory is a `.rs` file
+/// that is a compilation root or declared by a `mod name;` in its
+/// unit. Unsuppressible.
+fn stray_files(files: &[SourceFile], preps: &[Prep], diags: &mut Vec<Diagnostic>) {
+    // Per-unit `mod name;` declarations.
+    let mut mod_decls: BTreeMap<String, Vec<String>> = BTreeMap::new();
+    for p in preps {
+        let decls = mod_decls.entry(unit_of(&p.file.path)).or_default();
+        let toks = &p.lexed.toks;
+        for i in 0..toks.len() {
+            if toks[i].is_ident("mod") {
+                if let Some(name) = ident_at(toks, i + 1) {
+                    if is_punct(toks, i + 2, ';') {
+                        decls.push(name.to_string());
+                    }
+                }
+            }
+        }
+    }
     for f in files {
         let under_src = f.path.starts_with("src/") || f.path.contains("/src/");
         if !under_src {
             continue;
         }
         if !f.path.ends_with(".rs") {
-            diags.push(Diagnostic {
-                path: f.path.clone(),
-                line: 1,
-                rule: Rule::StrayFile,
-                message: "non-`.rs` file under src/; delete it or move it out of the \
-                          source tree"
-                    .to_string(),
-            });
+            report(
+                diags,
+                &f.path,
+                1,
+                Rule::StrayFile,
+                "non-`.rs` file under src/; delete it or move it out of the source tree",
+            );
             continue;
         }
         let unit = unit_of(&f.path);
@@ -1008,11 +1049,12 @@ pub fn lint(files: &[SourceFile]) -> Vec<Diagnostic> {
             .map(|v| v.contains(&mod_name))
             .unwrap_or(false);
         if !declared {
-            diags.push(Diagnostic {
-                path: f.path.clone(),
-                line: 1,
-                rule: Rule::StrayFile,
-                message: format!(
+            report(
+                diags,
+                &f.path,
+                1,
+                Rule::StrayFile,
+                format!(
                     "unreferenced source file: no `mod {mod_name};` in {}",
                     if unit.is_empty() {
                         "the root package"
@@ -1020,13 +1062,9 @@ pub fn lint(files: &[SourceFile]) -> Vec<Diagnostic> {
                         &unit
                     }
                 ),
-            });
+            );
         }
     }
-
-    diags.sort();
-    diags.dedup();
-    diags
 }
 
 /// DFS for a cycle in the (deduplicated) lock acquisition graph.

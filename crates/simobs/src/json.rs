@@ -1,10 +1,11 @@
 //! Minimal deterministic JSON writing helpers.
 //!
 //! The one home of the byte-stable formatting contract (escaped strings,
-//! round-trip floats): `vgrid-core`'s figure JSON module re-exports
-//! [`string`] and [`number`] from here. There is deliberately no parser
-//! here — the artifacts this crate emits are gated with `cmp`, not
-//! reparsed; the figure module keeps its own small parser.
+//! round-trip floats): `vgrid-core`'s figure JSON, the campaign wire
+//! format and the tool crates all format through [`string`] and
+//! [`number`]. There is deliberately no parser here — the artifacts
+//! this crate emits are gated with `cmp`, not reparsed; the only JSON
+//! parser in the workspace reads campaign requests in `grid::wire`.
 
 /// Escape and quote a string.
 pub fn string(s: &str) -> String {

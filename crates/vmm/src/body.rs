@@ -387,7 +387,7 @@ impl ThreadBody for VcpuBody {
                             continue;
                         }
                     }
-                    let step = self.guest.borrow_mut().step_full(self.vcpu, ctx.now);
+                    let step = self.guest.borrow_mut().step(self.vcpu, ctx.now);
                     match step {
                         GuestStep::Compute(block) => {
                             self.phase = VPhase::Computing;

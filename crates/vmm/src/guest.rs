@@ -221,9 +221,9 @@ enum PendingHost {
         reqs: VecDeque<DiskRequest>,
         result: ActionResult,
     },
-    Net {
-        tid: usize,
-    },
+    /// A network operation escaped to the host; `kind` carries its
+    /// parameters and the guest-side result delivered on completion.
+    Net { tid: usize, kind: NetKind },
 }
 
 /// Per-virtual-CPU execution state.
@@ -233,9 +233,6 @@ struct VcpuState {
     current: Option<usize>,
     /// Host operation this vCPU has escaped to, if any.
     pending_host: Option<PendingHost>,
-    /// Parameters of the network operation currently escaped to the host
-    /// (present iff `pending_host` is `PendingHost::Net`).
-    pending_net_kind: Option<NetKind>,
 }
 
 /// The nested guest kernel.
@@ -348,8 +345,13 @@ impl GuestVm {
     }
 
     /// Ask the guest what vCPU `v` should do next. Must not be called
-    /// while that vCPU has a compute piece or host operation outstanding.
+    /// while that vCPU has a compute piece or disk operation
+    /// outstanding; a pending network escape is surfaced again (as
+    /// [`GuestStep::Net`]) until [`GuestVm::complete_io`] retires it.
     pub fn step(&mut self, v: usize, host_now: SimTime) -> GuestStep {
+        if let Some(PendingHost::Net { kind, .. }) = &self.vcpus[v].pending_host {
+            return GuestStep::Net(self.net_step_for(kind));
+        }
         self.clock.observe(host_now);
         // Outstanding host work queue first (multi-request FS plans).
         if let Some(step) = self.pending_host_step(v) {
@@ -692,7 +694,7 @@ impl GuestVm {
                 GCont::Net(kind) => {
                     self.threads[idx].state = GState::Blocked;
                     self.vcpus[v].current = None;
-                    self.start_net(v, idx, kind);
+                    self.vcpus[v].pending_host = Some(PendingHost::Net { tid: idx, kind });
                 }
             }
         } else if quantum <= SimDuration::from_nanos(1) && !self.ready.is_empty() {
@@ -703,11 +705,6 @@ impl GuestVm {
             self.ready.push_back(idx);
             self.vcpus[v].current = None;
         }
-    }
-
-    fn start_net(&mut self, v: usize, idx: usize, kind: NetKind) {
-        self.vcpus[v].pending_host = Some(PendingHost::Net { tid: idx });
-        self.vcpus[v].pending_net_kind = Some(kind);
     }
 
     /// The net step corresponding to a pending net op (called by the body
@@ -775,11 +772,7 @@ impl GuestVm {
                     self.vcpus[v].pending_host = Some(PendingHost::Disk { tid, reqs, result });
                 }
             }
-            Some(PendingHost::Net { tid }) => {
-                let kind = self.vcpus[v]
-                    .pending_net_kind
-                    .take()
-                    .expect("net kind stashed with pending net");
+            Some(PendingHost::Net { tid, kind }) => {
                 let result = match kind {
                     NetKind::Connect { result, .. }
                     | NetKind::Send { result, .. }
@@ -799,26 +792,6 @@ impl GuestVm {
             th.state = GState::Ready;
             self.ready.push_back(tid);
         }
-    }
-}
-
-// The net path needs GuestVm::step to surface NetOps: extend step's
-// pending handling. (Separate impl block keeps the main flow readable.)
-impl GuestVm {
-    /// Like [`GuestVm::step`] but also surfacing pending network escapes.
-    /// This is the entry point vCPU bodies should use.
-    pub fn step_full(&mut self, v: usize, host_now: SimTime) -> GuestStep {
-        if let Some(PendingHost::Net { .. }) = &self.vcpus[v].pending_host {
-            // Surface the stashed network escape; the kind stays stashed
-            // until complete_io so the guest-side result can be delivered.
-            let kind = self.vcpus[v]
-                .pending_net_kind
-                .as_ref()
-                .expect("net kind stashed with pending net");
-            let op = self.net_step_for(kind);
-            return GuestStep::Net(op);
-        }
-        self.step(v, host_now)
     }
 }
 
@@ -849,14 +822,14 @@ mod tests {
     fn compute_steps_are_dilated() {
         let mut g = guest(VmmProfile::qemu());
         g.spawn("burn", Box::new(Burn { iters: 1 }));
-        let step = g.step_full(0, SimTime::ZERO);
+        let step = g.step(0, SimTime::ZERO);
         let GuestStep::Compute(block) = step else {
             panic!("expected compute, got {step:?}")
         };
         // QEMU int dilation 2.95: 24M guest ops -> 70.8M host ops.
         assert_eq!(block.counts.int_ops, 70_800_000);
         g.complete_compute(0, SimTime::from_millis(10), SimDuration::MAX);
-        let step = g.step_full(0, SimTime::from_millis(10));
+        let step = g.step(0, SimTime::from_millis(10));
         assert!(matches!(step, GuestStep::Halted), "{step:?}");
     }
 
@@ -879,7 +852,7 @@ mod tests {
         let mut host = SimTime::ZERO;
         let mut chunks = 0;
         loop {
-            match g.step_full(0, host) {
+            match g.step(0, host) {
                 GuestStep::Compute(b) => {
                     chunks += 1;
                     // <= 5 ms guest at 6e9 ops/s = 30M guest ops; dilated
@@ -902,7 +875,7 @@ mod tests {
         let tid = g.spawn("burn", Box::new(Burn { iters: 2 }));
         let mut host = SimTime::ZERO;
         loop {
-            match g.step_full(0, host) {
+            match g.step(0, host) {
                 GuestStep::Compute(_) => {
                     host += SimDuration::from_millis(20);
                     g.complete_compute(0, host, SimDuration::MAX);
@@ -969,7 +942,7 @@ mod tests {
         let mut host = SimTime::ZERO;
         let mut saw_disk_io = false;
         for _ in 0..200 {
-            match g.step_full(0, host) {
+            match g.step(0, host) {
                 GuestStep::Compute(_) => {
                     host += SimDuration::from_millis(2);
                     g.complete_compute(0, host, SimDuration::MAX);
@@ -1015,13 +988,13 @@ mod tests {
         }
         let mut g = guest(VmmProfile::virtualbox());
         g.spawn("sleeper", Box::new(Sleeper { done: false }));
-        let step = g.step_full(0, SimTime::ZERO);
+        let step = g.step(0, SimTime::ZERO);
         let GuestStep::Idle { until } = step else {
             panic!("{step:?}")
         };
         assert_eq!(until, Some(SimTime::from_millis(50)));
         // After the wake time the thread exits.
-        let step = g.step_full(0, SimTime::from_millis(60));
+        let step = g.step(0, SimTime::from_millis(60));
         assert!(matches!(step, GuestStep::Halted), "{step:?}");
     }
 
@@ -1031,7 +1004,7 @@ mod tests {
         g.spawn("burn", Box::new(Burn { iters: 100 }));
         let mut host = SimTime::ZERO;
         for _ in 0..10 {
-            match g.step_full(0, host) {
+            match g.step(0, host) {
                 GuestStep::Compute(_) => {
                     // Host starves the vCPU: each 4 ms chunk takes 500 ms,
                     // of which only ~5 ms was actual execution.

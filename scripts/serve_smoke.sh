@@ -45,6 +45,36 @@ PY
   echo "serve smoke: $name OK (served == campaign --spec)"
 done
 
+# Hostile bodies: 100k-deep nesting (a stack overflow without the
+# parser's depth limit) and a 1 MiB string (seconds per request with a
+# quadratic string scan). Each must come back as a typed error document
+# within 10 s, and the server must still answer /v1/health afterwards.
+python3 - "$PORT" <<'PY'
+import json, sys, urllib.error, urllib.request
+port = sys.argv[1]
+cases = [
+    ("deep nesting", b"[" * 100000 + b"]" * 100000, "json"),
+    ("1 MiB string",
+     b'{"spec_version": 1, "bogus": "' + b"x" * (1 << 20) + b'"}', "invalid"),
+]
+for name, body, kind in cases:
+    req = urllib.request.Request(
+        f"http://127.0.0.1:{port}/v1/campaign", data=body, method="POST",
+        headers={"X-Vgrid-Tenant": "hostile"})
+    try:
+        urllib.request.urlopen(req, timeout=10)
+        sys.exit(f"serve smoke: {name}: expected an error response")
+    except urllib.error.HTTPError as e:
+        doc = json.loads(e.read())
+    assert doc["schema"] == "vgrid-error/v1", doc
+    assert doc["error"]["kind"] == kind, doc
+    print(f"serve smoke: {name} OK ({kind} error)")
+with urllib.request.urlopen(
+        f"http://127.0.0.1:{port}/v1/health", timeout=10) as resp:
+    assert resp.status == 200
+print("serve smoke: health OK after hostile bodies")
+PY
+
 python3 - "$PORT" <<'PY'
 import sys, urllib.request
 port = sys.argv[1]

@@ -1,7 +1,7 @@
 //! 16-thread stress over the grid fast-forward caches: the runtime
 //! witness for what `simlint`'s static shared-state pass proves
-//! (DESIGN.md §14). Sixteen threads hammer the process-wide vm-factor,
-//! probe-dilation, and trajectory caches with the same campaign list a
+//! (DESIGN.md §14). Sixteen threads hammer the process-wide
+//! probe-dilation and trajectory caches with the same campaign list a
 //! single-threaded run executes — eight in each scheduler execution
 //! mode, at the same time — and every thread's rendered run manifest
 //! must stay byte-identical to the sequential reference of its mode.
@@ -24,8 +24,8 @@ use vgrid::vmm::VmmProfile;
 
 const THREADS: usize = 16;
 
-/// The campaign list every participant runs, covering all three cache
-/// layers: native and two VM modes hit the vm-factor/dilation caches,
+/// The campaign list every participant runs, covering both cache
+/// layers: native and two VM modes hit the dilation cache,
 /// and the same VM configuration at two horizons exercises the
 /// trajectory cache's prefix-resume path.
 fn spec_list() -> Vec<CampaignSpec> {
