@@ -1,4 +1,7 @@
-//! Scale benchmarks for the archetype-batched grid substrate.
+//! Scale benchmarks for the archetype-batched grid substrate, timed
+//! **cold**: every timed iteration first clears the process-wide
+//! fast-forward caches (`vgrid_grid::reset_all`), so no iteration can
+//! resume from the trajectory a previous one stored.
 //!
 //! The quick profile (`VGRID_BENCH_QUICK=1`, the bench.sh default and
 //! the CI smoke) times a 10k-host campaign and records its
@@ -94,6 +97,12 @@ fn run(s: &Scenario) -> GridReport {
         .clone()
 }
 
+/// One cold run: drop every cached trajectory and segment first.
+fn run_cold(s: &Scenario) -> u32 {
+    vgrid_grid::reset_all();
+    run(s).validated_wus
+}
+
 /// FNV-1a over the report's debug rendering, folded to 53 bits so the
 /// digest survives the f64 metric channel exactly.
 fn report_digest(report: &GridReport) -> f64 {
@@ -155,10 +164,10 @@ fn quick() -> bool {
 fn bench_grid_scale(c: &mut Criterion) {
     let mut group = c.benchmark_group("grid_scale");
     group.sample_size(3);
-    group.bench_function(SMOKE.id, |b| b.iter(|| run(&SMOKE).validated_wus));
+    group.bench_function(SMOKE.id, |b| b.iter(|| run_cold(&SMOKE)));
     if !quick() {
         for s in FULL {
-            group.bench_function(s.id, |b| b.iter(|| run(s).validated_wus));
+            group.bench_function(s.id, |b| b.iter(|| run_cold(s)));
         }
     }
     group.finish();

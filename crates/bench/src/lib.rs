@@ -1,18 +1,21 @@
 //! # vgrid-bench
 //!
-//! Criterion benchmark harness regenerating every table and figure of
-//! the paper (plus the ablations and extensions). Each bench target:
+//! Criterion benchmarks of the simulator itself — how long the testbed
+//! takes, which is the meaningful wall-clock metric for a simulator (the
+//! figures' own values are simulated time and deterministic). Every
+//! target here is run by `scripts/bench.sh`:
 //!
-//! 1. runs its experiment once and **prints the reproduced figure**
-//!    (with the paper's reported values alongside) — so `cargo bench`
-//!    regenerates the paper's evaluation; and
-//! 2. benchmarks the *testbed itself* — how long the simulator takes to
-//!    reproduce that figure — which is the meaningful wall-clock metric
-//!    for a simulator (the figures' own values are simulated time and
-//!    deterministic).
+//! * `substrate` — the hot layers (event loop, LZMA kernel, contention
+//!   solver);
+//! * `grid_scale` — cold campaigns over growing volunteer pools;
+//! * `fastforward` — the grid-churn sweep with the fast-forward caches
+//!   off and on;
+//! * `grid_tradeoff` — the grid-tradeoff figure via [`bench_figure`],
+//!   plus the pinned migration-policy rows.
 //!
-//! `benches/substrate.rs` additionally microbenchmarks the hot layers
-//! (event loop, LZMA kernel, contention solver).
+//! Per-figure wall times live in `perfbench` (`core.experiment_s.*`),
+//! which times every registry id in a cold process; the reproduced
+//! figures themselves come from `vgrid run` / `vgrid-report`.
 
 #![forbid(unsafe_code)]
 
@@ -26,20 +29,6 @@ where
 {
     let fig = f();
     println!("\n{}", fig.render());
-    let mut group = c.benchmark_group("reproduce");
-    group.sample_size(10);
-    group.bench_function(name, |b| b.iter(&f));
-    group.finish();
-}
-
-/// Print several figures produced by one experiment, then benchmark it.
-pub fn bench_figures<F>(c: &mut Criterion, name: &str, f: F)
-where
-    F: Fn() -> Vec<FigureResult>,
-{
-    for fig in f() {
-        println!("\n{}", fig.render());
-    }
     let mut group = c.benchmark_group("reproduce");
     group.sample_size(10);
     group.bench_function(name, |b| b.iter(&f));

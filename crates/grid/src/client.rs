@@ -11,7 +11,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 use vgrid_machine::ops::OpBlock;
-use vgrid_os::{Action, ActionResult, ConnId, RemoteHost, ThreadBody, ThreadCtx};
+use vgrid_os::{Action, ActionResult, ConnId, NetOp, RemoteHost, ThreadBody, ThreadCtx};
 
 /// One work unit's worth of client work.
 #[derive(Debug, Clone)]
@@ -96,9 +96,9 @@ impl ThreadBody for BoincClientBody {
                         self.phase = Phase::Fetch;
                         continue;
                     }
-                    return Action::NetConnect {
+                    return Action::Net(NetOp::Connect {
                         remote: self.server,
-                    };
+                    });
                 }
                 Phase::Fetch => {
                     if let ActionResult::Received { bytes } = ctx.result {
@@ -115,10 +115,10 @@ impl ThreadBody for BoincClientBody {
                     {
                         return Action::Exit;
                     }
-                    return Action::NetRecv {
+                    return Action::Net(NetOp::Recv {
                         conn: self.conn.expect("connected"),
                         bytes: self.spec.input_bytes,
-                    };
+                    });
                 }
                 Phase::Compute => {
                     if self.chunks_left == 0 {
@@ -138,10 +138,10 @@ impl ThreadBody for BoincClientBody {
                         ctx.result = ActionResult::None;
                         continue;
                     }
-                    return Action::NetSend {
+                    return Action::Net(NetOp::Send {
                         conn: self.conn.expect("connected"),
                         bytes: self.spec.output_bytes,
-                    };
+                    });
                 }
             }
         }

@@ -3,7 +3,8 @@
 //! One JSON document describes a full campaign request — spec plus
 //! [`RunOptions`] — and one JSON document carries the response
 //! manifest. Both `vgrid serve` and `vgrid campaign --spec <file>`
-//! consume requests through [`run_request_json`], so a served response
+//! run requests through [`run_request`] (the CLI via its parse-and-run
+//! wrapper [`run_request_json`]), so a served response
 //! is byte-identical to the CLI manifest for the same body: the
 //! response is a pure function of the request document, never of
 //! server load, request interleaving, or cache temperature.
@@ -1037,15 +1038,19 @@ pub fn render_error(e: &WireError) -> String {
     ]) + "\n"
 }
 
-/// Parse, validate, run, render: the one entry point both `vgrid
-/// campaign --spec` and the serve worker use, which is what makes a
+/// Validate, run, render an already-parsed request: what both `vgrid
+/// campaign --spec` and the serve worker execute, which is what makes a
 /// served response byte-identical to the CLI manifest for the same
 /// request body.
-pub fn run_request_json(body: &str) -> Result<String, WireError> {
-    let req = parse_request(body)?;
+pub fn run_request(req: &WireRequest) -> Result<String, WireError> {
     let campaign = req.spec.clone().build()?;
     let result = campaign.run_with(&req.options);
     Ok(render_response(&req.spec, &req.options, &result))
+}
+
+/// Parse a request body, then [`run_request`] it.
+pub fn run_request_json(body: &str) -> Result<String, WireError> {
+    run_request(&parse_request(body)?)
 }
 
 #[cfg(test)]

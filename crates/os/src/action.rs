@@ -6,6 +6,13 @@
 //! action. The body returns an [`Action`] — compute, file I/O, network
 //! I/O, sleeping, thread management or exit — and the kernel simulates it.
 //!
+//! File and network I/O travel as one [`FileOp`] or [`NetOp`] value.
+//! The kernel never decodes them itself: it hands the op to its
+//! filesystem ([`crate::FileSystem::apply`]) or transport stack
+//! ([`crate::NetStack::apply`]) and times the plan that comes back. The
+//! host `System` and the nested guest kernel in `vgrid-vmm` share that
+//! decode, and differ only in how they time the plan.
+//!
 //! This is a coroutine protocol by explicit state machine: Rust has no
 //! stable generators, and explicit states keep each workload's phase
 //! structure visible and testable.
@@ -93,15 +100,11 @@ impl RemoteHost {
     }
 }
 
-/// What a thread asks the kernel to do next.
-#[derive(Debug)]
-pub enum Action {
-    /// Execute CPU work described by the block. Reference-counted so
-    /// bodies that re-issue the same block every quantum (kernel loops,
-    /// service duty cycles) share it instead of deep-copying per step.
-    Compute(std::rc::Rc<OpBlock>),
+/// A filesystem call: what [`Action::File`] carries.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FileOp {
     /// Open (and possibly create/truncate) a file by path.
-    FileOpen {
+    Open {
         /// Path within the kernel's single namespace.
         path: String,
         /// Create the file if missing.
@@ -112,71 +115,112 @@ pub enum Action {
         direct: bool,
     },
     /// Read `bytes` from the file at the current position.
-    FileRead {
+    Read {
         /// Open file handle.
         file: FileId,
         /// Bytes to read.
         bytes: u64,
     },
     /// Write `bytes` to the file at the current position.
-    FileWrite {
+    Write {
         /// Open file handle.
         file: FileId,
         /// Bytes to write.
         bytes: u64,
     },
     /// Flush all dirty data of the file to the device.
-    FileSync {
+    Sync {
         /// Open file handle.
         file: FileId,
     },
     /// Seek the file position (absolute).
-    FileSeek {
+    Seek {
         /// Open file handle.
         file: FileId,
         /// New absolute position.
         pos: u64,
     },
     /// Close the handle.
-    FileClose {
+    Close {
         /// Open file handle.
         file: FileId,
     },
     /// Remove a file by path.
-    FileDelete {
+    Delete {
         /// Path to remove.
         path: String,
     },
     /// Drop the file's cached pages (benchmark cache control; mirrors
     /// `echo 3 > /proc/sys/vm/drop_caches` narrowed to one file).
-    FileDropCache {
+    DropCache {
         /// Open file handle.
         file: FileId,
     },
+}
+
+/// A transport call: what [`Action::Net`] carries. `Copy`, so a guest
+/// kernel can plan it on its own stack and re-issue it to the host.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum NetOp {
     /// Open a transport connection to a modeled remote peer.
-    NetConnect {
+    Connect {
         /// The peer model.
         remote: RemoteHost,
     },
     /// Send `bytes` on the connection (blocking until accepted by the NIC).
-    NetSend {
+    Send {
         /// Connection handle.
         conn: ConnId,
         /// Payload bytes.
         bytes: u64,
     },
     /// Receive exactly `bytes` from the connection (peer must be a source).
-    NetRecv {
+    Recv {
         /// Connection handle.
         conn: ConnId,
         /// Payload bytes to receive.
         bytes: u64,
     },
     /// Close the connection.
-    NetClose {
+    Close {
         /// Connection handle.
         conn: ConnId,
     },
+}
+
+impl NetOp {
+    /// The connection the op acts on (`None` for `Connect`).
+    pub fn conn(self) -> Option<ConnId> {
+        match self {
+            NetOp::Connect { .. } => None,
+            NetOp::Send { conn, .. } | NetOp::Recv { conn, .. } | NetOp::Close { conn } => {
+                Some(conn)
+            }
+        }
+    }
+
+    /// The same op on connection `conn` (`Connect` is returned as is).
+    pub fn on(self, conn: ConnId) -> NetOp {
+        match self {
+            NetOp::Connect { .. } => self,
+            NetOp::Send { bytes, .. } => NetOp::Send { conn, bytes },
+            NetOp::Recv { bytes, .. } => NetOp::Recv { conn, bytes },
+            NetOp::Close { .. } => NetOp::Close { conn },
+        }
+    }
+}
+
+/// What a thread asks the kernel to do next.
+#[derive(Debug)]
+pub enum Action {
+    /// Execute CPU work described by the block. Reference-counted so
+    /// bodies that re-issue the same block every quantum (kernel loops,
+    /// service duty cycles) share it instead of deep-copying per step.
+    Compute(std::rc::Rc<OpBlock>),
+    /// A filesystem call, planned by [`crate::FileSystem::apply`].
+    File(FileOp),
+    /// A transport call, planned by [`crate::NetStack::apply`].
+    Net(NetOp),
     /// Block for a simulated duration.
     Sleep(SimDuration),
     /// Give up the CPU, stay ready.
@@ -214,41 +258,41 @@ pub enum ActionResult {
     /// First activation, or the previous action has no payload
     /// (Compute/Sleep/Yield completed).
     None,
-    /// FileOpen succeeded.
+    /// `FileOp::Open` succeeded.
     Opened(FileId),
-    /// FileRead moved this many bytes.
+    /// `FileOp::Read` moved this many bytes.
     Read {
         /// Bytes actually read (may be short at EOF).
         bytes: u64,
     },
-    /// FileWrite accepted this many bytes.
+    /// `FileOp::Write` accepted this many bytes.
     Wrote {
         /// Bytes written.
         bytes: u64,
     },
-    /// FileSync finished.
+    /// `FileOp::Sync` finished.
     Synced,
-    /// FileClose finished.
+    /// `FileOp::Close` finished.
     Closed,
-    /// FileDelete finished.
+    /// `FileOp::Delete` finished.
     Deleted,
-    /// FileSeek finished.
+    /// `FileOp::Seek` finished.
     Sought,
-    /// FileDropCache finished.
+    /// `FileOp::DropCache` finished.
     CacheDropped,
-    /// NetConnect succeeded.
+    /// `NetOp::Connect` succeeded.
     Connected(ConnId),
-    /// NetSend finished.
+    /// `NetOp::Send` finished.
     Sent {
         /// Bytes sent.
         bytes: u64,
     },
-    /// NetRecv finished.
+    /// `NetOp::Recv` finished.
     Received {
         /// Bytes received.
         bytes: u64,
     },
-    /// NetClose finished.
+    /// `NetOp::Close` finished.
     NetClosed,
     /// Spawn succeeded.
     Spawned(ThreadId),

@@ -1,13 +1,15 @@
 //! Filesystem and page-cache model.
 //!
-//! The filesystem is a *planner*: every operation returns an [`IoPlan`]
-//! describing (a) the CPU work the calling thread must perform in kernel
-//! mode (syscall entry, path handling, page-cache copies) and (b) the
-//! block-device requests that must complete before the call returns. The
-//! kernel that owns the filesystem (host `System`, or a guest kernel in
-//! `vgrid-vmm`) decides how those parts are timed — which is exactly how
-//! the same code models both a native Linux filesystem over a SATA disk
-//! and a guest filesystem over an emulated virtual disk.
+//! The filesystem is a *planner*: [`FileSystem::apply`] turns one
+//! [`FileOp`] into an [`IoPlan`] describing (a) the CPU work the calling
+//! thread must perform in kernel mode (syscall entry, path handling,
+//! page-cache copies) and (b) the block-device requests that must
+//! complete before the call returns. The kernel that owns the filesystem
+//! (host `System`, or a guest kernel in `vgrid-vmm`) decides how those
+//! parts are timed — which is exactly how the same code models both a
+//! native Linux filesystem over a SATA disk and a guest filesystem over
+//! an emulated virtual disk. `apply` is the only place a `FileOp` is
+//! decoded, for the host and the guest alike.
 //!
 //! Caching model: per-file *prefix* caching. Benchmarks in this testbed
 //! (IOBench in particular) stream files sequentially, so tracking "the
@@ -16,7 +18,7 @@
 //! staying O(1) per operation. A global capacity bound with FIFO eviction
 //! of clean pages models cache pressure.
 
-use crate::action::{ActionResult, FileId, OsError};
+use crate::action::{ActionResult, FileId, FileOp, OsError};
 use vgrid_machine::ops::{OpBlock, OpClassCounts};
 use vgrid_machine::{DiskRequest, DiskRequestKind};
 use vgrid_simcore::DetMap;
@@ -115,6 +117,10 @@ pub struct FileSystem {
     touch_counter: u64,
     /// Total resident bytes across files.
     cache_used: u64,
+    /// Bytes read calls asked for (observability counter).
+    read_bytes: u64,
+    /// Bytes write calls asked for (observability counter).
+    write_bytes: u64,
 }
 
 /// Build the CPU block for a syscall that moves `bytes` through the cache.
@@ -157,7 +163,45 @@ impl FileSystem {
             alloc_cursor: 0,
             touch_counter: 0,
             cache_used: 0,
+            read_bytes: 0,
+            write_bytes: 0,
         }
+    }
+
+    /// Plan one filesystem call. Read and write bytes are counted
+    /// before the call runs, so short and failed calls count in full.
+    pub fn apply(&mut self, op: FileOp) -> IoPlan {
+        match op {
+            FileOp::Open {
+                path,
+                create,
+                truncate,
+                direct,
+            } => self.open(&path, create, truncate, direct),
+            FileOp::Read { file, bytes } => {
+                self.read_bytes += bytes;
+                self.read(file, bytes)
+            }
+            FileOp::Write { file, bytes } => {
+                self.write_bytes += bytes;
+                self.write(file, bytes)
+            }
+            FileOp::Sync { file } => self.sync(file),
+            FileOp::Seek { file, pos } => self.seek(file, pos),
+            FileOp::Close { file } => self.close(file),
+            FileOp::Delete { path } => self.delete(&path),
+            FileOp::DropCache { file } => self.drop_cache(file),
+        }
+    }
+
+    /// Bytes requested by every read planned so far.
+    pub fn read_bytes(&self) -> u64 {
+        self.read_bytes
+    }
+
+    /// Bytes requested by every write planned so far.
+    pub fn write_bytes(&self) -> u64 {
+        self.write_bytes
     }
 
     /// Bytes currently resident in the page cache.
@@ -217,7 +261,7 @@ impl FileSystem {
     }
 
     /// Open a file.
-    pub fn open(&mut self, path: &str, create: bool, truncate: bool, direct: bool) -> IoPlan {
+    fn open(&mut self, path: &str, create: bool, truncate: bool, direct: bool) -> IoPlan {
         let exists = self.files.contains_key(path);
         if !exists && !create {
             return IoPlan::err(OsError::NotFound);
@@ -263,7 +307,7 @@ impl FileSystem {
     }
 
     /// Write at the handle's position.
-    pub fn write(&mut self, id: FileId, bytes: u64) -> IoPlan {
+    fn write(&mut self, id: FileId, bytes: u64) -> IoPlan {
         let Some(h) = self.handles.get(&id) else {
             return IoPlan::err(OsError::BadHandle);
         };
@@ -314,7 +358,7 @@ impl FileSystem {
     }
 
     /// Read at the handle's position.
-    pub fn read(&mut self, id: FileId, bytes: u64) -> IoPlan {
+    fn read(&mut self, id: FileId, bytes: u64) -> IoPlan {
         let Some(h) = self.handles.get(&id) else {
             return IoPlan::err(OsError::BadHandle);
         };
@@ -366,7 +410,7 @@ impl FileSystem {
     }
 
     /// Flush the file's dirty data.
-    pub fn sync(&mut self, id: FileId) -> IoPlan {
+    fn sync(&mut self, id: FileId) -> IoPlan {
         let Some(h) = self.handles.get(&id) else {
             return IoPlan::err(OsError::BadHandle);
         };
@@ -390,7 +434,7 @@ impl FileSystem {
     }
 
     /// Seek the handle.
-    pub fn seek(&mut self, id: FileId, pos: u64) -> IoPlan {
+    fn seek(&mut self, id: FileId, pos: u64) -> IoPlan {
         let Some(h) = self.handles.get_mut(&id) else {
             return IoPlan::err(OsError::BadHandle);
         };
@@ -404,7 +448,7 @@ impl FileSystem {
 
     /// Close the handle (does not flush; callers sync explicitly, as the
     /// benchmarks do).
-    pub fn close(&mut self, id: FileId) -> IoPlan {
+    fn close(&mut self, id: FileId) -> IoPlan {
         if self.handles.remove(&id).is_none() {
             return IoPlan::err(OsError::BadHandle);
         }
@@ -416,7 +460,7 @@ impl FileSystem {
     }
 
     /// Delete a file by path.
-    pub fn delete(&mut self, path: &str) -> IoPlan {
+    fn delete(&mut self, path: &str) -> IoPlan {
         match self.files.remove(path) {
             Some(f) => {
                 self.cache_used -= f.cached;
@@ -431,7 +475,7 @@ impl FileSystem {
     }
 
     /// Drop the file's resident pages (dirty data is flushed first).
-    pub fn drop_cache(&mut self, id: FileId) -> IoPlan {
+    fn drop_cache(&mut self, id: FileId) -> IoPlan {
         let Some(h) = self.handles.get(&id) else {
             return IoPlan::err(OsError::BadHandle);
         };

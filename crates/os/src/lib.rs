@@ -44,8 +44,8 @@ pub mod sched;
 pub mod system;
 
 pub use action::{
-    Action, ActionResult, ConnId, FileId, OsError, Priority, RemoteHost, RemoteKind, ThreadBody,
-    ThreadCtx, ThreadId,
+    Action, ActionResult, ConnId, FileId, FileOp, NetOp, OsError, Priority, RemoteHost, RemoteKind,
+    ThreadBody, ThreadCtx, ThreadId,
 };
 pub use fs::{FileSystem, FsConfig, IoPlan};
 pub use net::{NetConfig, NetPlan, NetStack};

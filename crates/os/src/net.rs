@@ -1,9 +1,11 @@
 //! Transport/network stack model.
 //!
-//! Like the filesystem, the stack is a *planner*: each operation returns a
-//! [`NetPlan`] with the CPU work the calling thread performs in the stack
-//! (per-segment processing — this is what virtual NIC paths multiply) and
-//! the wire occupancy of the NIC. The owning kernel times both parts.
+//! Like the filesystem, the stack is a *planner*: [`NetStack::apply`]
+//! turns one [`NetOp`] into a [`NetPlan`] with the CPU work the calling
+//! thread performs in the stack (per-segment processing — this is what
+//! virtual NIC paths multiply) and the wire occupancy of the NIC. The
+//! owning kernel times both parts. `apply` is the only place a `NetOp`
+//! is decoded, for the host and the guest alike.
 //!
 //! The transport model is deliberately simple: bulk transfers over an
 //! otherwise idle 100 Mbps LAN are wire-serialization plus a propagation
@@ -11,7 +13,7 @@
 //! testbed to within its reporting precision. Loss, congestion control
 //! and cross-traffic are out of scope (the paper's LAN had none).
 
-use crate::action::{ActionResult, ConnId, OsError, RemoteHost, RemoteKind};
+use crate::action::{ActionResult, ConnId, NetOp, OsError, RemoteHost, RemoteKind};
 use vgrid_machine::ops::{OpBlock, OpClassCounts};
 use vgrid_machine::NicModel;
 use vgrid_simcore::{DetMap, SimDuration};
@@ -61,22 +63,18 @@ impl NetPlan {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Conn {
-    remote: RemoteHost,
-    /// Bytes sent over the connection (statistics).
-    sent: u64,
-    /// Bytes received (statistics).
-    received: u64,
-}
-
 /// The transport stack planner.
 #[derive(Debug)]
 pub struct NetStack {
     cfg: NetConfig,
     nic: NicModel,
-    conns: DetMap<ConnId, Conn>,
+    /// Open connections and the peer each one talks to.
+    conns: DetMap<ConnId, RemoteHost>,
     next_conn: u32,
+    /// Bytes send calls asked for (observability counter).
+    tx_bytes: u64,
+    /// Bytes receive calls asked for (observability counter).
+    rx_bytes: u64,
 }
 
 impl NetStack {
@@ -87,7 +85,36 @@ impl NetStack {
             nic,
             conns: DetMap::new(),
             next_conn: 1,
+            tx_bytes: 0,
+            rx_bytes: 0,
         }
+    }
+
+    /// Plan one transport call. Send and receive bytes are counted
+    /// before the call runs, so failed calls count in full.
+    pub fn apply(&mut self, op: NetOp) -> NetPlan {
+        match op {
+            NetOp::Connect { remote } => self.connect(remote),
+            NetOp::Send { conn, bytes } => {
+                self.tx_bytes += bytes;
+                self.send(conn, bytes)
+            }
+            NetOp::Recv { conn, bytes } => {
+                self.rx_bytes += bytes;
+                self.recv(conn, bytes)
+            }
+            NetOp::Close { conn } => self.close(conn),
+        }
+    }
+
+    /// Bytes requested by every send planned so far.
+    pub fn tx_bytes(&self) -> u64 {
+        self.tx_bytes
+    }
+
+    /// Bytes requested by every receive planned so far.
+    pub fn rx_bytes(&self) -> u64 {
+        self.rx_bytes
     }
 
     /// The NIC model in use.
@@ -116,17 +143,10 @@ impl NetStack {
 
     /// Open a connection (three-way handshake: ~1.5 RTT of latency, small
     /// CPU).
-    pub fn connect(&mut self, remote: RemoteHost) -> NetPlan {
+    fn connect(&mut self, remote: RemoteHost) -> NetPlan {
         let id = ConnId(self.next_conn);
         self.next_conn += 1;
-        self.conns.insert(
-            id,
-            Conn {
-                remote,
-                sent: 0,
-                received: 0,
-            },
-        );
+        self.conns.insert(id, remote);
         NetPlan {
             cpu: OpBlock::kernel(self.cfg.syscall_kernel_ops * 4).with_label("net/connect"),
             wire: SimDuration::ZERO,
@@ -136,11 +156,10 @@ impl NetStack {
     }
 
     /// Send `bytes` to the peer.
-    pub fn send(&mut self, conn: ConnId, bytes: u64) -> NetPlan {
-        let Some(c) = self.conns.get_mut(&conn) else {
+    fn send(&mut self, conn: ConnId, bytes: u64) -> NetPlan {
+        if !self.conns.contains_key(&conn) {
             return NetPlan::err(OsError::BadHandle);
-        };
-        c.sent += bytes;
+        }
         NetPlan {
             cpu: self.stack_block(bytes, "net/send"),
             wire: self.nic.link.wire_time(bytes),
@@ -153,25 +172,23 @@ impl NetStack {
     }
 
     /// Receive exactly `bytes` from a source peer.
-    pub fn recv(&mut self, conn: ConnId, bytes: u64) -> NetPlan {
-        let Some(c) = self.conns.get_mut(&conn) else {
+    fn recv(&mut self, conn: ConnId, bytes: u64) -> NetPlan {
+        let Some(remote) = self.conns.get(&conn) else {
             return NetPlan::err(OsError::BadHandle);
         };
-        if c.remote.kind != RemoteKind::Source {
+        if remote.kind != RemoteKind::Source {
             return NetPlan::err(OsError::Invalid);
         }
-        c.received += bytes;
-        let delay = c.remote.one_way_delay;
         NetPlan {
             cpu: self.stack_block(bytes, "net/recv"),
             wire: self.nic.link.wire_time(bytes),
-            extra_delay: delay,
+            extra_delay: remote.one_way_delay,
             result: ActionResult::Received { bytes },
         }
     }
 
     /// Close the connection.
-    pub fn close(&mut self, conn: ConnId) -> NetPlan {
+    fn close(&mut self, conn: ConnId) -> NetPlan {
         if self.conns.remove(&conn).is_none() {
             return NetPlan::err(OsError::BadHandle);
         }
@@ -181,11 +198,6 @@ impl NetStack {
             extra_delay: SimDuration::ZERO,
             result: ActionResult::NetClosed,
         }
-    }
-
-    /// Bytes sent so far on a connection.
-    pub fn sent_on(&self, conn: ConnId) -> Option<u64> {
-        self.conns.get(&conn).map(|c| c.sent)
     }
 }
 
@@ -285,8 +297,15 @@ mod tests {
     fn sent_accounting() {
         let mut s = stack();
         let c = connect(&mut s);
-        s.send(c, 100);
-        s.send(c, 200);
-        assert_eq!(s.sent_on(c), Some(300));
+        s.apply(NetOp::Send {
+            conn: c,
+            bytes: 100,
+        });
+        s.apply(NetOp::Send {
+            conn: c,
+            bytes: 200,
+        });
+        s.apply(NetOp::Recv { conn: c, bytes: 50 }); // fails: sink peer
+        assert_eq!((s.tx_bytes(), s.rx_bytes()), (300, 50));
     }
 }

@@ -303,13 +303,10 @@ pub struct System {
     quanta_crossed: u64,
     /// Quantum boundaries materialized as real events.
     quantum_events: u64,
-    /// Always-on observability byte counters (plain integer adds on
-    /// paths that already exist — no events, no allocation, so bench
-    /// event counts are untouched).
-    fs_read_bytes: u64,
-    fs_write_bytes: u64,
-    net_tx_bytes: u64,
-    net_rx_bytes: u64,
+    /// Always-on observability byte counter (a plain integer add on a
+    /// path that already exists — no events, no allocation, so bench
+    /// event counts are untouched). The fs and net byte counters live
+    /// in `FileSystem` and `NetStack`, which decode those requests.
     disk_device_bytes: u64,
     /// Device-transfer size distribution (fixed byte-size buckets).
     disk_req_sizes: Histogram,
@@ -379,10 +376,6 @@ impl System {
             events_handled: 0,
             quanta_crossed: 0,
             quantum_events: 0,
-            fs_read_bytes: 0,
-            fs_write_bytes: 0,
-            net_tx_bytes: 0,
-            net_rx_bytes: 0,
             disk_device_bytes: 0,
             disk_req_sizes: Histogram::byte_sizes(),
             committed: 0,
@@ -550,6 +543,15 @@ impl System {
             th.suspended = false;
             std::mem::take(&mut th.joiners)
         };
+        self.wake_joiners(joiners);
+        if self.trace.is_enabled(TraceCategory::Fault) {
+            self.trace
+                .emit(self.now, TraceCategory::Fault, format!("kill t{}", tid.0));
+        }
+    }
+
+    /// Deliver `Joined` to the threads blocked on an exited thread.
+    fn wake_joiners(&mut self, joiners: Vec<ThreadId>) {
         for j in joiners {
             let jt = &mut self.threads[j.0 as usize];
             if jt.state == ThreadState::Blocked {
@@ -562,10 +564,6 @@ impl System {
                     self.ready.push_back(j, p);
                 }
             }
-        }
-        if self.trace.is_enabled(TraceCategory::Fault) {
-            self.trace
-                .emit(self.now, TraceCategory::Fault, format!("kill t{}", tid.0));
         }
     }
 
@@ -641,10 +639,10 @@ impl System {
         m.counter_add("os.cache.contention_hits", ls.memo_hits);
         m.counter_add("os.cache.contention_misses", ls.memo_misses);
         m.gauge_add("os.loop.sim_seconds", ls.sim_seconds);
-        m.counter_add("os.fs.read_bytes", self.fs_read_bytes);
-        m.counter_add("os.fs.write_bytes", self.fs_write_bytes);
-        m.counter_add("os.net.tx_bytes", self.net_tx_bytes);
-        m.counter_add("os.net.rx_bytes", self.net_rx_bytes);
+        m.counter_add("os.fs.read_bytes", self.fs.read_bytes());
+        m.counter_add("os.fs.write_bytes", self.fs.write_bytes());
+        m.counter_add("os.net.tx_bytes", self.net.tx_bytes());
+        m.counter_add("os.net.rx_bytes", self.net.rx_bytes());
         m.counter_add("os.disk.device_bytes", self.disk_device_bytes);
         if self.disk_req_sizes.total() > 0 {
             m.histogram_merge("os.disk.request_bytes", &self.disk_req_sizes);
@@ -1316,72 +1314,13 @@ impl System {
                     self.begin_exec(core);
                     return;
                 }
-                Action::FileOpen {
-                    path,
-                    create,
-                    truncate,
-                    direct,
-                } => {
-                    let plan = self.fs.open(&path, create, truncate, direct);
+                Action::File(op) => {
+                    let plan = self.fs.apply(op);
                     self.install_io(core, tid, plan);
                     return;
                 }
-                Action::FileRead { file, bytes } => {
-                    self.fs_read_bytes += bytes;
-                    let plan = self.fs.read(file, bytes);
-                    self.install_io(core, tid, plan);
-                    return;
-                }
-                Action::FileWrite { file, bytes } => {
-                    self.fs_write_bytes += bytes;
-                    let plan = self.fs.write(file, bytes);
-                    self.install_io(core, tid, plan);
-                    return;
-                }
-                Action::FileSync { file } => {
-                    let plan = self.fs.sync(file);
-                    self.install_io(core, tid, plan);
-                    return;
-                }
-                Action::FileSeek { file, pos } => {
-                    let plan = self.fs.seek(file, pos);
-                    self.install_io(core, tid, plan);
-                    return;
-                }
-                Action::FileClose { file } => {
-                    let plan = self.fs.close(file);
-                    self.install_io(core, tid, plan);
-                    return;
-                }
-                Action::FileDelete { path } => {
-                    let plan = self.fs.delete(&path);
-                    self.install_io(core, tid, plan);
-                    return;
-                }
-                Action::FileDropCache { file } => {
-                    let plan = self.fs.drop_cache(file);
-                    self.install_io(core, tid, plan);
-                    return;
-                }
-                Action::NetConnect { remote } => {
-                    let plan = self.net.connect(remote);
-                    self.install_net(core, tid, plan);
-                    return;
-                }
-                Action::NetSend { conn, bytes } => {
-                    self.net_tx_bytes += bytes;
-                    let plan = self.net.send(conn, bytes);
-                    self.install_net(core, tid, plan);
-                    return;
-                }
-                Action::NetRecv { conn, bytes } => {
-                    self.net_rx_bytes += bytes;
-                    let plan = self.net.recv(conn, bytes);
-                    self.install_net(core, tid, plan);
-                    return;
-                }
-                Action::NetClose { conn } => {
-                    let plan = self.net.close(conn);
+                Action::Net(op) => {
+                    let plan = self.net.apply(op);
                     self.install_net(core, tid, plan);
                     return;
                 }
@@ -1429,19 +1368,7 @@ impl System {
                         std::mem::take(&mut th.joiners)
                     };
                     self.clear_core(core);
-                    for j in joiners {
-                        let jt = &mut self.threads[j.0 as usize];
-                        if jt.state == ThreadState::Blocked {
-                            jt.pending = ActionResult::Joined;
-                            if jt.suspended {
-                                jt.state = ThreadState::Suspended;
-                            } else {
-                                jt.state = ThreadState::Ready;
-                                let p = jt.eff_prio();
-                                self.ready.push_back(j, p);
-                            }
-                        }
-                    }
+                    self.wake_joiners(joiners);
                     if self.trace.is_enabled(TraceCategory::Sched) {
                         self.trace
                             .emit(self.now, TraceCategory::Sched, format!("exit t{}", tid.0));
@@ -1463,7 +1390,6 @@ impl System {
     /// Install a filesystem plan as the thread's execution state.
     fn install_io(&mut self, core: usize, tid: ThreadId, plan: IoPlan) {
         let IoPlan { cpu, disk, result } = plan;
-        let est = self.cpu.solo_estimate(&cpu);
         let cont = if disk.is_empty() {
             Cont::Deliver(result)
         } else {
@@ -1472,12 +1398,7 @@ impl System {
                 result,
             }
         };
-        self.threads[tid.0 as usize].exec = Some(ExecState {
-            block: Rc::new(cpu),
-            remaining: est.duration.as_secs_f64().max(1e-12),
-            cont,
-        });
-        self.begin_exec(core);
+        self.install(core, tid, cpu, cont);
     }
 
     /// Install a network plan as the thread's execution state.
@@ -1488,7 +1409,6 @@ impl System {
             extra_delay,
             result,
         } = plan;
-        let est = self.cpu.solo_estimate(&cpu);
         let cont = if wire.is_zero() && extra_delay.is_zero() {
             Cont::Deliver(result)
         } else {
@@ -1498,6 +1418,12 @@ impl System {
                 result,
             }
         };
+        self.install(core, tid, cpu, cont);
+    }
+
+    /// Run a plan's CPU part on `core`, then continue with `cont`.
+    fn install(&mut self, core: usize, tid: ThreadId, cpu: OpBlock, cont: Cont) {
+        let est = self.cpu.solo_estimate(&cpu);
         self.threads[tid.0 as usize].exec = Some(ExecState {
             block: Rc::new(cpu),
             remaining: est.duration.as_secs_f64().max(1e-12),
@@ -1510,7 +1436,7 @@ impl System {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::action::{OsError, RemoteHost};
+    use crate::action::{FileOp, NetOp, OsError, RemoteHost};
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -1723,16 +1649,16 @@ mod tests {
     fn file_roundtrip_through_system() {
         let mut s = sys();
         let (script, results) = Script::new(vec![
-            Action::FileOpen {
+            Action::File(FileOp::Open {
                 path: "/data".into(),
                 create: true,
                 truncate: true,
                 direct: false,
-            },
-            Action::FileWrite {
+            }),
+            Action::File(FileOp::Write {
                 file: FileIdProbe::ID,
                 bytes: 1 << 20,
-            },
+            }),
         ]);
         // We don't know the FileId ahead of time; use a smarter body below
         // instead. This script intentionally passes a bogus id to check
@@ -1765,12 +1691,12 @@ mod tests {
             match self.phase {
                 0 => {
                     self.phase = 1;
-                    Action::FileOpen {
+                    Action::File(FileOp::Open {
                         path: "/ws".into(),
                         create: true,
                         truncate: true,
                         direct: false,
-                    }
+                    })
                 }
                 1 => {
                     let ActionResult::Opened(id) = ctx.result else {
@@ -1778,17 +1704,17 @@ mod tests {
                     };
                     self.file = Some(id);
                     self.phase = 2;
-                    Action::FileWrite {
+                    Action::File(FileOp::Write {
                         file: id,
                         bytes: self.bytes,
-                    }
+                    })
                 }
                 2 => {
                     assert!(matches!(ctx.result, ActionResult::Wrote { .. }));
                     self.phase = 3;
-                    Action::FileSync {
+                    Action::File(FileOp::Sync {
                         file: self.file.expect("opened"),
-                    }
+                    })
                 }
                 _ => {
                     *self.done_at.borrow_mut() = Some(ctx.now);
@@ -1831,9 +1757,9 @@ mod tests {
             match self.phase {
                 0 => {
                     self.phase = 1;
-                    Action::NetConnect {
+                    Action::Net(NetOp::Connect {
                         remote: RemoteHost::lan_sink(),
-                    }
+                    })
                 }
                 1 => {
                     let ActionResult::Connected(c) = ctx.result else {
@@ -1841,10 +1767,10 @@ mod tests {
                     };
                     self.conn = Some(c);
                     self.phase = 2;
-                    Action::NetSend {
+                    Action::Net(NetOp::Send {
                         conn: c,
                         bytes: self.bytes,
-                    }
+                    })
                 }
                 _ => {
                     assert!(matches!(ctx.result, ActionResult::Sent { .. }));

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use vgrid_os::fs::{FileSystem, FsConfig};
-use vgrid_os::{ActionResult, FileId};
+use vgrid_os::{ActionResult, FileId, FileOp};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -39,38 +39,46 @@ proptest! {
             dirty_limit: 1 << 20,
             ..Default::default()
         });
-        let id: FileId = match fs.open("/f", true, true, false).result {
+        let open = FileOp::Open {
+            path: "/f".into(),
+            create: true,
+            truncate: true,
+            direct: false,
+        };
+        let id: FileId = match fs.apply(open).result {
             ActionResult::Opened(id) => id,
             other => panic!("{other:?}"),
         };
         let mut written_total = 0u64;
+        let mut requested_reads = 0u64;
         for op in ops {
             match op {
                 Op::Write(n) => {
-                    let plan = fs.write(id, n);
+                    let plan = fs.apply(FileOp::Write { file: id, bytes: n });
                     let wrote = matches!(plan.result, ActionResult::Wrote { .. });
                     prop_assert!(wrote);
                     written_total += n;
                 }
                 Op::Read(n) => {
-                    let plan = fs.read(id, n);
+                    requested_reads += n;
+                    let plan = fs.apply(FileOp::Read { file: id, bytes: n });
                     let ActionResult::Read { bytes } = plan.result else {
                         panic!("read failed")
                     };
                     prop_assert!(bytes <= n);
                 }
                 Op::SeekStart => {
-                    fs.seek(id, 0);
+                    fs.apply(FileOp::Seek { file: id, pos: 0 });
                 }
                 Op::Sync => {
-                    let plan = fs.sync(id);
+                    let plan = fs.apply(FileOp::Sync { file: id });
                     prop_assert_eq!(plan.result, ActionResult::Synced);
                     // Second sync is always a no-op on the device.
-                    let again = fs.sync(id);
+                    let again = fs.apply(FileOp::Sync { file: id });
                     prop_assert!(again.disk.is_empty());
                 }
                 Op::DropCache => {
-                    fs.drop_cache(id);
+                    fs.apply(FileOp::DropCache { file: id });
                 }
             }
             // One in-flight write may overshoot before eviction runs;
@@ -82,6 +90,9 @@ proptest! {
                 limit
             );
             prop_assert!(fs.size_of("/f").unwrap() <= written_total);
+            // The byte counters count what was asked for, short or not.
+            prop_assert_eq!(fs.write_bytes(), written_total);
+            prop_assert_eq!(fs.read_bytes(), requested_reads);
         }
     }
 }

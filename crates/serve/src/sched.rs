@@ -7,7 +7,7 @@
 //! request. Within a tenant, jobs stay FIFO.
 //!
 //! Fairness here is a *latency* policy only. Response bytes are a pure
-//! function of each request (`grid::wire::run_request_json`), so no
+//! function of each request (`grid::wire::run_request`), so no
 //! scheduling decision — which worker, which order, how interleaved —
 //! can show up in any response body.
 

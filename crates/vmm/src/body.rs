@@ -20,14 +20,14 @@
 //! vCPU pauses the guest and streams the committed guest RAM to a host
 //! file.
 
-use crate::guest::{GuestNetOp, GuestStep, GuestVm};
+use crate::guest::{GuestStep, GuestVm};
 use crate::profiles::{VmmProfile, VnicMode};
 use std::cell::RefCell;
 use std::rc::Rc;
 use vgrid_machine::ops::{OpBlock, OpClassCounts};
 use vgrid_machine::DiskRequestKind;
 use vgrid_os::{
-    Action, ActionResult, ConnId, FileId, Priority, RemoteHost, System, ThreadBody, ThreadCtx,
+    Action, ActionResult, ConnId, FileId, FileOp, NetOp, Priority, System, ThreadBody, ThreadCtx,
     ThreadId,
 };
 use vgrid_simcore::{DetMap, SimDuration, SimTime};
@@ -274,11 +274,14 @@ enum VPhase {
         kind: DiskRequestKind,
         bytes: u64,
     },
-    DiskIo,
-    NetOverhead(NetOpKind),
-    NetIo {
+    NetOverhead {
+        op: NetOp,
         guest_conn: ConnId,
-        expect_connect: bool,
+    },
+    /// Waiting for the host half of a disk or network escape. A connect
+    /// maps its guest connection to the host one when it completes.
+    HostIo {
+        connect: Option<ConnId>,
     },
     CkptOpen {
         path: String,
@@ -290,28 +293,13 @@ enum VPhase {
     CkptClose,
 }
 
-#[derive(Debug)]
-enum NetOpKind {
-    Connect {
-        guest_conn: ConnId,
-        remote: RemoteHost,
-    },
-    Send {
-        guest_conn: ConnId,
-        bytes: u64,
-    },
-    Recv {
-        guest_conn: ConnId,
-        bytes: u64,
-    },
-    Close {
-        guest_conn: ConnId,
-    },
-}
-
 /// The vCPU host thread body. SMP guests spawn one per virtual CPU, all
 /// sharing the nested guest kernel (safe: the host simulation is single-
 /// threaded, so borrows never overlap).
+///
+/// [`ThreadBody::next`] is a short loop over one method per phase group:
+/// `drive` (open the image, step the guest, retire compute and host
+/// I/O), `disk_escape`, `net_escape` and `checkpoint`.
 #[derive(Debug)]
 pub struct VcpuBody {
     guest: Rc<RefCell<GuestVm>>,
@@ -346,6 +334,204 @@ impl VcpuBody {
             last_cpu: SimDuration::ZERO,
         }
     }
+
+    /// Open the disk image once, retire finished compute pieces and host
+    /// I/O, and step the guest. `None` means: run the next phase at once.
+    fn drive(&mut self, ctx: &mut ThreadCtx<'_>, serviced: SimDuration) -> Option<Action> {
+        match self.phase {
+            VPhase::OpenImage => {
+                if let ActionResult::Opened(id) = ctx.result {
+                    self.image = Some(id);
+                    self.phase = VPhase::Drive;
+                    ctx.result = ActionResult::None;
+                    return None;
+                }
+                return Some(Action::File(FileOp::Open {
+                    path: self.image_path.clone(),
+                    create: true,
+                    truncate: false,
+                    direct: true,
+                }));
+            }
+            VPhase::Computing => {
+                self.guest
+                    .borrow_mut()
+                    .complete_compute(self.vcpu, ctx.now, serviced);
+            }
+            VPhase::HostIo { connect } => {
+                if let Some(guest_conn) = connect {
+                    let ActionResult::Connected(host) = ctx.result else {
+                        panic!("expected host connection, got {:?}", ctx.result)
+                    };
+                    self.conn_map.insert(guest_conn, host);
+                }
+                self.guest.borrow_mut().complete_io(self.vcpu, ctx.now);
+            }
+            _ => return self.step_guest(ctx.now),
+        }
+        self.phase = VPhase::Drive;
+        ctx.result = ActionResult::None;
+        None
+    }
+
+    /// Publish the guest clock, honour power-off and checkpoint
+    /// requests, then turn the guest's next step into a host action.
+    fn step_guest(&mut self, now: SimTime) -> Option<Action> {
+        {
+            let guest = self.guest.borrow();
+            let mut c = self.control.borrow_mut();
+            c.guest_clock_lag_secs = guest.clock.total_lag().as_secs_f64();
+            c.guest_clock_loss_events = guest.clock.loss_events;
+            if c.power_off {
+                return Some(Action::Exit);
+            }
+            if let Some(path) = c.checkpoint_request.take() {
+                self.phase = VPhase::CkptOpen { path };
+                return None;
+            }
+        }
+        let step = self.guest.borrow_mut().step(self.vcpu, now);
+        let action = match step {
+            GuestStep::Compute(block) => {
+                self.phase = VPhase::Computing;
+                Action::compute(block)
+            }
+            GuestStep::DiskIo {
+                kind,
+                offset,
+                bytes,
+                overhead,
+            } => {
+                self.control.borrow_mut().exits_disk += 1;
+                self.phase = VPhase::DiskOverhead {
+                    kind,
+                    offset,
+                    bytes,
+                };
+                Action::compute(overhead)
+            }
+            GuestStep::Net {
+                op,
+                guest_conn,
+                overhead,
+            } => {
+                let mut c = self.control.borrow_mut();
+                c.exits_net += 1;
+                // Per-frame NAT translation work is what the profiles
+                // charge for; count the frames it covered (bridged vNICs
+                // translate nothing).
+                let guest = self.guest.borrow();
+                if let (VnicMode::Nat, NetOp::Send { bytes, .. } | NetOp::Recv { bytes, .. }) =
+                    (guest.vnic_mode(), op)
+                {
+                    c.nat_frames += guest.frames_for(bytes);
+                }
+                self.phase = VPhase::NetOverhead { op, guest_conn };
+                Action::compute(overhead)
+            }
+            GuestStep::Idle { until } => {
+                self.control.borrow_mut().exits_idle += 1;
+                Action::Sleep(match until {
+                    Some(t) if t > now => t.since(now),
+                    Some(_) => SimDuration::from_micros(100),
+                    None => IDLE_POLL,
+                })
+            }
+            GuestStep::Halted => {
+                self.control.borrow_mut().halted = true;
+                Action::Exit
+            }
+        };
+        Some(action)
+    }
+
+    /// After the device-model overhead: seek the image, then transfer.
+    fn disk_escape(&mut self, ctx: &ThreadCtx<'_>) -> Action {
+        let file = self.image.expect("image opened");
+        match self.phase {
+            VPhase::DiskOverhead {
+                kind,
+                offset,
+                bytes,
+            } => {
+                self.phase = VPhase::DiskSeek { kind, bytes };
+                Action::File(FileOp::Seek { file, pos: offset })
+            }
+            VPhase::DiskSeek { kind, bytes } => {
+                debug_assert_eq!(ctx.result, ActionResult::Sought);
+                self.phase = VPhase::HostIo { connect: None };
+                Action::File(match kind {
+                    DiskRequestKind::Read => FileOp::Read { file, bytes },
+                    DiskRequestKind::Write => FileOp::Write { file, bytes },
+                })
+            }
+            _ => unreachable!("disk_escape in {:?}", self.phase),
+        }
+    }
+
+    /// After the vNIC overhead: re-issue the guest's op on the host
+    /// connection that stands for its guest connection.
+    fn net_escape(&mut self, op: NetOp, guest_conn: ConnId) -> Action {
+        let host_op = match op {
+            NetOp::Connect { .. } => op,
+            NetOp::Close { .. } => op.on(self.conn_map.remove(&guest_conn).expect("mapped")),
+            NetOp::Send { .. } | NetOp::Recv { .. } => op.on(self.conn_map[&guest_conn]),
+        };
+        let connect = op.conn().is_none().then_some(guest_conn);
+        self.phase = VPhase::HostIo { connect };
+        Action::Net(host_op)
+    }
+
+    /// Stream the committed guest RAM to the checkpoint file in
+    /// [`CKPT_CHUNK`] writes, sync, close, and resume driving the guest.
+    fn checkpoint(&mut self, ctx: &mut ThreadCtx<'_>) -> Option<Action> {
+        let file = self.ckpt_file;
+        let file = || file.expect("opened");
+        match (&self.phase, &ctx.result) {
+            (VPhase::CkptOpen { .. }, &ActionResult::Opened(id)) => {
+                self.ckpt_file = Some(id);
+                self.phase = VPhase::CkptWrite {
+                    remaining: self.guest.borrow().profile().guest_ram,
+                };
+                ctx.result = ActionResult::None;
+                None
+            }
+            (VPhase::CkptOpen { path }, _) => Some(Action::File(FileOp::Open {
+                path: path.clone(),
+                create: true,
+                truncate: true,
+                direct: false,
+            })),
+            (VPhase::CkptWrite { remaining: 0 }, _) => {
+                self.phase = VPhase::CkptSync;
+                None
+            }
+            (&VPhase::CkptWrite { remaining }, _) => {
+                let n = CKPT_CHUNK.min(remaining);
+                self.phase = VPhase::CkptWrite {
+                    remaining: remaining - n,
+                };
+                self.control.borrow_mut().ckpt_chunk_writes += 1;
+                Some(Action::File(FileOp::Write {
+                    file: file(),
+                    bytes: n,
+                }))
+            }
+            (VPhase::CkptSync, ActionResult::Synced) => {
+                self.phase = VPhase::CkptClose;
+                None
+            }
+            (VPhase::CkptSync, _) => Some(Action::File(FileOp::Sync { file: file() })),
+            (_, ActionResult::Closed) => {
+                self.ckpt_file = None;
+                self.control.borrow_mut().checkpoint_done_at = Some(ctx.now);
+                self.phase = VPhase::Drive;
+                ctx.result = ActionResult::None;
+                None
+            }
+            _ => Some(Action::File(FileOp::Close { file: file() })),
+        }
+    }
 }
 
 impl ThreadBody for VcpuBody {
@@ -356,253 +542,21 @@ impl ThreadBody for VcpuBody {
             if let ActionResult::Err(e) = ctx.result {
                 panic!("vcpu: host operation failed: {e:?} in {:?}", self.phase);
             }
-            match &self.phase {
-                VPhase::OpenImage => {
-                    if let ActionResult::Opened(id) = ctx.result {
-                        self.image = Some(id);
-                        self.phase = VPhase::Drive;
-                        ctx.result = ActionResult::None;
-                        continue;
-                    }
-                    return Action::FileOpen {
-                        path: self.image_path.clone(),
-                        create: true,
-                        truncate: false,
-                        direct: true,
-                    };
+            let issued = match self.phase {
+                VPhase::OpenImage | VPhase::Drive | VPhase::Computing | VPhase::HostIo { .. } => {
+                    self.drive(ctx, serviced)
                 }
-                VPhase::Drive => {
-                    {
-                        let guest = self.guest.borrow();
-                        let mut c = self.control.borrow_mut();
-                        c.guest_clock_lag_secs = guest.clock.total_lag().as_secs_f64();
-                        c.guest_clock_loss_events = guest.clock.loss_events;
-                        if c.power_off {
-                            return Action::Exit;
-                        }
-                        if let Some(path) = c.checkpoint_request.take() {
-                            drop(c);
-                            drop(guest);
-                            self.phase = VPhase::CkptOpen { path };
-                            continue;
-                        }
-                    }
-                    let step = self.guest.borrow_mut().step(self.vcpu, ctx.now);
-                    match step {
-                        GuestStep::Compute(block) => {
-                            self.phase = VPhase::Computing;
-                            return Action::compute(block);
-                        }
-                        GuestStep::DiskIo {
-                            kind,
-                            offset,
-                            bytes,
-                            overhead,
-                        } => {
-                            self.control.borrow_mut().exits_disk += 1;
-                            self.phase = VPhase::DiskOverhead {
-                                kind,
-                                offset,
-                                bytes,
-                            };
-                            return Action::compute(overhead);
-                        }
-                        GuestStep::Net(op) => {
-                            {
-                                let mut c = self.control.borrow_mut();
-                                c.exits_net += 1;
-                                // Per-frame NAT translation work is what the
-                                // profiles charge for; count the frames it
-                                // covered (bridged vNICs translate nothing).
-                                let guest = self.guest.borrow();
-                                if guest.vnic_mode() == VnicMode::Nat {
-                                    if let GuestNetOp::Send { bytes, .. }
-                                    | GuestNetOp::Recv { bytes, .. } = &op
-                                    {
-                                        c.nat_frames += guest.frames_for(*bytes);
-                                    }
-                                }
-                            }
-                            let (kind, overhead) = match op {
-                                GuestNetOp::Connect {
-                                    guest_conn,
-                                    remote,
-                                    overhead,
-                                } => (NetOpKind::Connect { guest_conn, remote }, overhead),
-                                GuestNetOp::Send {
-                                    guest_conn,
-                                    bytes,
-                                    overhead,
-                                } => (NetOpKind::Send { guest_conn, bytes }, overhead),
-                                GuestNetOp::Recv {
-                                    guest_conn,
-                                    bytes,
-                                    overhead,
-                                } => (NetOpKind::Recv { guest_conn, bytes }, overhead),
-                                GuestNetOp::Close {
-                                    guest_conn,
-                                    overhead,
-                                } => (NetOpKind::Close { guest_conn }, overhead),
-                            };
-                            self.phase = VPhase::NetOverhead(kind);
-                            return Action::compute(overhead);
-                        }
-                        GuestStep::Idle { until } => {
-                            self.control.borrow_mut().exits_idle += 1;
-                            let dt = match until {
-                                Some(t) if t > ctx.now => t.since(ctx.now),
-                                Some(_) => SimDuration::from_micros(100),
-                                None => IDLE_POLL,
-                            };
-                            return Action::Sleep(dt);
-                        }
-                        GuestStep::Halted => {
-                            self.control.borrow_mut().halted = true;
-                            return Action::Exit;
-                        }
-                    }
+                VPhase::DiskOverhead { .. } | VPhase::DiskSeek { .. } => {
+                    Some(self.disk_escape(ctx))
                 }
-                VPhase::Computing => {
-                    self.guest
-                        .borrow_mut()
-                        .complete_compute(self.vcpu, ctx.now, serviced);
-                    self.phase = VPhase::Drive;
-                    ctx.result = ActionResult::None;
-                    continue;
-                }
-                VPhase::DiskOverhead {
-                    kind,
-                    offset,
-                    bytes,
-                } => {
-                    let (kind, offset, bytes) = (*kind, *offset, *bytes);
-                    self.phase = VPhase::DiskSeek { kind, bytes };
-                    return Action::FileSeek {
-                        file: self.image.expect("image opened"),
-                        pos: offset,
-                    };
-                }
-                VPhase::DiskSeek { kind, bytes } => {
-                    debug_assert_eq!(ctx.result, ActionResult::Sought);
-                    let (kind, bytes) = (*kind, *bytes);
-                    self.phase = VPhase::DiskIo;
-                    let file = self.image.expect("image opened");
-                    return match kind {
-                        DiskRequestKind::Read => Action::FileRead { file, bytes },
-                        DiskRequestKind::Write => Action::FileWrite { file, bytes },
-                    };
-                }
-                VPhase::DiskIo => {
-                    self.guest.borrow_mut().complete_io(self.vcpu, ctx.now);
-                    self.phase = VPhase::Drive;
-                    ctx.result = ActionResult::None;
-                    continue;
-                }
-                VPhase::NetOverhead(kind) => match kind {
-                    NetOpKind::Connect { guest_conn, remote } => {
-                        let (gc, remote) = (*guest_conn, *remote);
-                        self.phase = VPhase::NetIo {
-                            guest_conn: gc,
-                            expect_connect: true,
-                        };
-                        return Action::NetConnect { remote };
-                    }
-                    NetOpKind::Send { guest_conn, bytes } => {
-                        let (gc, bytes) = (*guest_conn, *bytes);
-                        let host = self.conn_map[&gc];
-                        self.phase = VPhase::NetIo {
-                            guest_conn: gc,
-                            expect_connect: false,
-                        };
-                        return Action::NetSend { conn: host, bytes };
-                    }
-                    NetOpKind::Recv { guest_conn, bytes } => {
-                        let (gc, bytes) = (*guest_conn, *bytes);
-                        let host = self.conn_map[&gc];
-                        self.phase = VPhase::NetIo {
-                            guest_conn: gc,
-                            expect_connect: false,
-                        };
-                        return Action::NetRecv { conn: host, bytes };
-                    }
-                    NetOpKind::Close { guest_conn } => {
-                        let gc = *guest_conn;
-                        let host = self.conn_map.remove(&gc).expect("mapped");
-                        self.phase = VPhase::NetIo {
-                            guest_conn: gc,
-                            expect_connect: false,
-                        };
-                        return Action::NetClose { conn: host };
-                    }
-                },
-                VPhase::NetIo {
-                    guest_conn,
-                    expect_connect,
-                } => {
-                    if *expect_connect {
-                        let ActionResult::Connected(host) = ctx.result else {
-                            panic!("expected host connection, got {:?}", ctx.result)
-                        };
-                        self.conn_map.insert(*guest_conn, host);
-                    }
-                    self.guest.borrow_mut().complete_io(self.vcpu, ctx.now);
-                    self.phase = VPhase::Drive;
-                    ctx.result = ActionResult::None;
-                    continue;
-                }
-                VPhase::CkptOpen { path } => {
-                    if let ActionResult::Opened(id) = ctx.result {
-                        self.ckpt_file = Some(id);
-                        self.phase = VPhase::CkptWrite {
-                            remaining: self.guest.borrow().profile().guest_ram,
-                        };
-                        ctx.result = ActionResult::None;
-                        continue;
-                    }
-                    return Action::FileOpen {
-                        path: path.clone(),
-                        create: true,
-                        truncate: true,
-                        direct: false,
-                    };
-                }
-                VPhase::CkptWrite { remaining } => {
-                    let remaining = *remaining;
-                    if remaining == 0 {
-                        self.phase = VPhase::CkptSync;
-                        continue;
-                    }
-                    let n = CKPT_CHUNK.min(remaining);
-                    self.phase = VPhase::CkptWrite {
-                        remaining: remaining - n,
-                    };
-                    self.control.borrow_mut().ckpt_chunk_writes += 1;
-                    return Action::FileWrite {
-                        file: self.ckpt_file.expect("opened"),
-                        bytes: n,
-                    };
-                }
-                VPhase::CkptSync => {
-                    if ctx.result == ActionResult::Synced {
-                        self.phase = VPhase::CkptClose;
-                        continue;
-                    }
-                    return Action::FileSync {
-                        file: self.ckpt_file.expect("opened"),
-                    };
-                }
-                VPhase::CkptClose => {
-                    if ctx.result == ActionResult::Closed {
-                        self.ckpt_file = None;
-                        self.control.borrow_mut().checkpoint_done_at = Some(ctx.now);
-                        self.phase = VPhase::Drive;
-                        ctx.result = ActionResult::None;
-                        continue;
-                    }
-                    return Action::FileClose {
-                        file: self.ckpt_file.expect("opened"),
-                    };
-                }
+                VPhase::NetOverhead { op, guest_conn } => Some(self.net_escape(op, guest_conn)),
+                VPhase::CkptOpen { .. }
+                | VPhase::CkptWrite { .. }
+                | VPhase::CkptSync
+                | VPhase::CkptClose => self.checkpoint(ctx),
+            };
+            if let Some(action) = issued {
+                return action;
             }
         }
     }

@@ -20,14 +20,20 @@
 //! world switch, then host file/net I/O — is exactly the structure that
 //! makes guest I/O expensive in the paper's Figure 3/4, and it emerges
 //! here from composition rather than from a fitted curve.
+//!
+//! The guest's file and network actions are decoded by the same `os`
+//! code the host uses ([`FileSystem::apply`], [`NetStack::apply`]); the
+//! guest kernel only decides how their plans are timed. A guest network
+//! op surfaces unchanged in [`GuestStep::Net`], so the vCPU re-issues the
+//! very same [`NetOp`] on the host stack after mapping the connection.
 
 use crate::profiles::{VmmProfile, VnicMode};
 use std::collections::VecDeque;
 use vgrid_machine::ops::OpBlock;
 use vgrid_machine::{CpuModel, DiskRequest, DiskRequestKind, MachineSpec};
-use vgrid_os::fs::{FileSystem, FsConfig};
+use vgrid_os::fs::{FileSystem, FsConfig, IoPlan};
 use vgrid_os::net::{NetConfig, NetStack};
-use vgrid_os::{Action, ActionResult, ConnId, RemoteHost, ThreadBody, ThreadCtx, ThreadId};
+use vgrid_os::{Action, ActionResult, ConnId, NetOp, ThreadBody, ThreadCtx, ThreadId};
 use vgrid_simcore::{SimDuration, SimRng, SimTime};
 use vgrid_timeref::{GuestClock, GuestClockConfig};
 
@@ -97,9 +103,18 @@ pub enum GuestStep {
         /// Host CPU cost of the device emulation.
         overhead: OpBlock,
     },
-    /// Perform a virtual-NIC operation: run `overhead`, then the host
-    /// network action, then call [`GuestVm::complete_io`].
-    Net(GuestNetOp),
+    /// Perform a virtual-NIC operation: run `overhead`, then re-issue
+    /// `op` on the host connection that stands for `guest_conn`, then
+    /// call [`GuestVm::complete_io`].
+    Net {
+        /// The op as the guest issued it (connection ids are guest-side).
+        op: NetOp,
+        /// Guest connection the op acts on; for a connect, the one the
+        /// guest stack just opened.
+        guest_conn: ConnId,
+        /// Host CPU cost of the vNIC path (per-frame translation).
+        overhead: OpBlock,
+    },
     /// No guest thread is runnable; the vCPU may halt until the given
     /// host time (if any wake is pending) or indefinitely.
     Idle {
@@ -108,45 +123,6 @@ pub enum GuestStep {
     },
     /// Every guest thread has exited.
     Halted,
-}
-
-/// A guest network operation escaping to the host.
-#[derive(Debug)]
-pub enum GuestNetOp {
-    /// Open a host-side connection on behalf of the guest connection.
-    Connect {
-        /// Guest-side connection id (for the body's mapping table).
-        guest_conn: ConnId,
-        /// The peer.
-        remote: RemoteHost,
-        /// Host CPU cost of the vNIC path.
-        overhead: OpBlock,
-    },
-    /// Forward payload from the guest.
-    Send {
-        /// Guest-side connection id.
-        guest_conn: ConnId,
-        /// Payload bytes.
-        bytes: u64,
-        /// Host CPU cost of the vNIC path (per-frame translation).
-        overhead: OpBlock,
-    },
-    /// Receive payload for the guest.
-    Recv {
-        /// Guest-side connection id.
-        guest_conn: ConnId,
-        /// Payload bytes.
-        bytes: u64,
-        /// Host CPU cost of the vNIC path.
-        overhead: OpBlock,
-    },
-    /// Tear down the host-side connection.
-    Close {
-        /// Guest-side connection id.
-        guest_conn: ConnId,
-        /// Host CPU cost.
-        overhead: OpBlock,
-    },
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,27 +141,8 @@ enum GCont {
         reqs: VecDeque<DiskRequest>,
         result: ActionResult,
     },
-    Net(NetKind),
-}
-
-#[derive(Debug)]
-enum NetKind {
-    Connect {
-        remote: RemoteHost,
-        result: ActionResult,
-    },
-    Send {
-        conn: ConnId,
-        bytes: u64,
-        result: ActionResult,
-    },
-    Recv {
-        conn: ConnId,
-        bytes: u64,
-        result: ActionResult,
-    },
-    Close {
-        conn: ConnId,
+    Net {
+        op: NetOp,
         result: ActionResult,
     },
 }
@@ -221,9 +178,13 @@ enum PendingHost {
         reqs: VecDeque<DiskRequest>,
         result: ActionResult,
     },
-    /// A network operation escaped to the host; `kind` carries its
-    /// parameters and the guest-side result delivered on completion.
-    Net { tid: usize, kind: NetKind },
+    /// A network operation escaped to the host, with the guest-side
+    /// result delivered on completion.
+    Net {
+        tid: usize,
+        op: NetOp,
+        result: ActionResult,
+    },
 }
 
 /// Per-virtual-CPU execution state.
@@ -349,8 +310,8 @@ impl GuestVm {
     /// outstanding; a pending network escape is surfaced again (as
     /// [`GuestStep::Net`]) until [`GuestVm::complete_io`] retires it.
     pub fn step(&mut self, v: usize, host_now: SimTime) -> GuestStep {
-        if let Some(PendingHost::Net { kind, .. }) = &self.vcpus[v].pending_host {
-            return GuestStep::Net(self.net_step_for(kind));
+        if let Some(PendingHost::Net { op, result, .. }) = &self.vcpus[v].pending_host {
+            return self.net_step_for(*op, result);
         }
         self.clock.observe(host_now);
         // Outstanding host work queue first (multi-request FS plans).
@@ -475,105 +436,26 @@ impl GuestVm {
                     }
                     // The guest mutates its copy as it slices work off,
                     // so unshare the body's handle here.
-                    let block = std::rc::Rc::unwrap_or_clone(block);
-                    self.threads[idx].exec = Some(GExec {
-                        block,
-                        in_flight: None,
-                        cont: GCont::Resume,
-                    });
+                    self.install(idx, std::rc::Rc::unwrap_or_clone(block), GCont::Resume);
                     return None;
                 }
-                Action::FileOpen {
-                    path,
-                    create,
-                    truncate,
-                    direct,
-                } => {
-                    let plan = self.fs.open(&path, create, truncate, direct);
-                    self.install_plan(idx, plan.cpu, plan.disk, plan.result);
-                    return None;
-                }
-                Action::FileRead { file, bytes } => {
-                    let plan = self.fs.read(file, bytes);
-                    self.install_plan(idx, plan.cpu, plan.disk, plan.result);
-                    return None;
-                }
-                Action::FileWrite { file, bytes } => {
-                    let plan = self.fs.write(file, bytes);
-                    self.install_plan(idx, plan.cpu, plan.disk, plan.result);
-                    return None;
-                }
-                Action::FileSync { file } => {
-                    let plan = self.fs.sync(file);
-                    self.install_plan(idx, plan.cpu, plan.disk, plan.result);
-                    return None;
-                }
-                Action::FileSeek { file, pos } => {
-                    let plan = self.fs.seek(file, pos);
-                    self.install_plan(idx, plan.cpu, plan.disk, plan.result);
-                    return None;
-                }
-                Action::FileClose { file } => {
-                    let plan = self.fs.close(file);
-                    self.install_plan(idx, plan.cpu, plan.disk, plan.result);
-                    return None;
-                }
-                Action::FileDelete { path } => {
-                    let plan = self.fs.delete(&path);
-                    self.install_plan(idx, plan.cpu, plan.disk, plan.result);
-                    return None;
-                }
-                Action::FileDropCache { file } => {
-                    let plan = self.fs.drop_cache(file);
-                    self.install_plan(idx, plan.cpu, plan.disk, plan.result);
-                    return None;
-                }
-                Action::NetConnect { remote } => {
-                    let plan = self.net.connect(remote);
-                    let result = plan.result.clone();
-                    self.threads[idx].exec = Some(GExec {
-                        block: plan.cpu,
-                        in_flight: None,
-                        cont: GCont::Net(NetKind::Connect { remote, result }),
-                    });
-                    return None;
-                }
-                Action::NetSend { conn, bytes } => {
-                    let plan = self.net.send(conn, bytes);
-                    let result = plan.result.clone();
-                    self.threads[idx].exec = Some(GExec {
-                        block: plan.cpu,
-                        in_flight: None,
-                        cont: GCont::Net(NetKind::Send {
-                            conn,
-                            bytes,
+                Action::File(op) => {
+                    let IoPlan { cpu, disk, result } = self.fs.apply(op);
+                    let cont = if disk.is_empty() {
+                        GCont::Deliver(result)
+                    } else {
+                        GCont::Disk {
+                            reqs: disk.into(),
                             result,
-                        }),
-                    });
+                        }
+                    };
+                    self.install(idx, cpu, cont);
                     return None;
                 }
-                Action::NetRecv { conn, bytes } => {
-                    let plan = self.net.recv(conn, bytes);
-                    let result = plan.result.clone();
-                    self.threads[idx].exec = Some(GExec {
-                        block: plan.cpu,
-                        in_flight: None,
-                        cont: GCont::Net(NetKind::Recv {
-                            conn,
-                            bytes,
-                            result,
-                        }),
-                    });
-                    return None;
-                }
-                Action::NetClose { conn } => {
-                    let plan = self.net.close(conn);
-                    let result = plan.result.clone();
-                    self.threads[idx].exec = Some(GExec {
-                        block: plan.cpu,
-                        in_flight: None,
-                        cont: GCont::Net(NetKind::Close { conn, result }),
-                    });
+                Action::Net(op) => {
+                    let plan = self.net.apply(op);
+                    let result = plan.result;
+                    self.install(idx, plan.cpu, GCont::Net { op, result });
                     return None;
                 }
                 Action::Sleep(d) => {
@@ -631,23 +513,10 @@ impl GuestVm {
         }
     }
 
-    fn install_plan(
-        &mut self,
-        idx: usize,
-        cpu: OpBlock,
-        disk: Vec<DiskRequest>,
-        result: ActionResult,
-    ) {
-        let cont = if disk.is_empty() {
-            GCont::Deliver(result)
-        } else {
-            GCont::Disk {
-                reqs: disk.into(),
-                result,
-            }
-        };
+    /// Make `block` guest thread `idx`'s work, followed by `cont`.
+    fn install(&mut self, idx: usize, block: OpBlock, cont: GCont) {
         self.threads[idx].exec = Some(GExec {
-            block: cpu,
+            block,
             in_flight: None,
             cont,
         });
@@ -691,10 +560,14 @@ impl GuestVm {
                     });
                     self.vcpus[v].current = None;
                 }
-                GCont::Net(kind) => {
+                GCont::Net { op, result } => {
                     self.threads[idx].state = GState::Blocked;
                     self.vcpus[v].current = None;
-                    self.vcpus[v].pending_host = Some(PendingHost::Net { tid: idx, kind });
+                    self.vcpus[v].pending_host = Some(PendingHost::Net {
+                        tid: idx,
+                        op,
+                        result,
+                    });
                 }
             }
         } else if quantum <= SimDuration::from_nanos(1) && !self.ready.is_empty() {
@@ -709,48 +582,24 @@ impl GuestVm {
 
     /// The net step corresponding to a pending net op (called by the body
     /// right after the compute that carried the guest stack work).
-    fn net_step_for(&self, kind: &NetKind) -> GuestNetOp {
-        let frames = |bytes: u64| self.net.nic().link.frames_for(bytes);
-        let mode = self.cfg.vnic_mode;
-        match kind {
-            NetKind::Connect { remote, result } => {
-                let ActionResult::Connected(c) = result else {
-                    unreachable!("connect result")
-                };
-                GuestNetOp::Connect {
-                    guest_conn: *c,
-                    remote: *remote,
-                    overhead: self
-                        .cfg
-                        .profile
-                        .net_overhead_block(2, mode, self.ops_per_sec),
-                }
-            }
-            NetKind::Send { conn, bytes, .. } => GuestNetOp::Send {
-                guest_conn: *conn,
-                bytes: *bytes,
-                overhead: self.cfg.profile.net_overhead_block(
-                    frames(*bytes),
-                    mode,
-                    self.ops_per_sec,
-                ),
-            },
-            NetKind::Recv { conn, bytes, .. } => GuestNetOp::Recv {
-                guest_conn: *conn,
-                bytes: *bytes,
-                overhead: self.cfg.profile.net_overhead_block(
-                    frames(*bytes),
-                    mode,
-                    self.ops_per_sec,
-                ),
-            },
-            NetKind::Close { conn, .. } => GuestNetOp::Close {
-                guest_conn: *conn,
-                overhead: self
-                    .cfg
-                    .profile
-                    .net_overhead_block(1, mode, self.ops_per_sec),
-            },
+    fn net_step_for(&self, op: NetOp, result: &ActionResult) -> GuestStep {
+        let guest_conn = match (op.conn(), result) {
+            (Some(conn), _) | (None, &ActionResult::Connected(conn)) => conn,
+            (None, other) => unreachable!("connect result {other:?}"),
+        };
+        let frames = match op {
+            NetOp::Connect { .. } => 2,
+            NetOp::Close { .. } => 1,
+            NetOp::Send { bytes, .. } | NetOp::Recv { bytes, .. } => self.frames_for(bytes),
+        };
+        GuestStep::Net {
+            op,
+            guest_conn,
+            overhead: self.cfg.profile.net_overhead_block(
+                frames,
+                self.cfg.vnic_mode,
+                self.ops_per_sec,
+            ),
         }
     }
 
@@ -772,15 +621,7 @@ impl GuestVm {
                     self.vcpus[v].pending_host = Some(PendingHost::Disk { tid, reqs, result });
                 }
             }
-            Some(PendingHost::Net { tid, kind }) => {
-                let result = match kind {
-                    NetKind::Connect { result, .. }
-                    | NetKind::Send { result, .. }
-                    | NetKind::Recv { result, .. }
-                    | NetKind::Close { result, .. } => result,
-                };
-                self.deliver(tid, result);
-            }
+            Some(PendingHost::Net { tid, result, .. }) => self.deliver(tid, result),
             None => panic!("complete_io with no pending host operation"),
         }
     }
@@ -799,6 +640,7 @@ impl GuestVm {
 mod tests {
     use super::*;
     use vgrid_machine::ops::OpBlock as OB;
+    use vgrid_os::FileOp;
 
     #[derive(Debug)]
     struct Burn {
@@ -900,12 +742,12 @@ mod tests {
             match self.phase {
                 0 => {
                     self.phase = 1;
-                    Action::FileOpen {
+                    Action::File(FileOp::Open {
                         path: "/guest-data".into(),
                         create: true,
                         truncate: true,
                         direct: false,
-                    }
+                    })
                 }
                 1 => {
                     let ActionResult::Opened(id) = ctx.result else {
@@ -913,16 +755,16 @@ mod tests {
                     };
                     self.file = Some(id);
                     self.phase = 2;
-                    Action::FileWrite {
+                    Action::File(FileOp::Write {
                         file: id,
                         bytes: 1 << 20,
-                    }
+                    })
                 }
                 2 => {
                     self.phase = 3;
-                    Action::FileSync {
+                    Action::File(FileOp::Sync {
                         file: self.file.expect("opened"),
-                    }
+                    })
                 }
                 _ => Action::Exit,
             }
@@ -969,6 +811,124 @@ mod tests {
         }
         assert!(saw_disk_io, "sync must reach the virtual disk");
         assert!(g.halted());
+    }
+
+    /// Connect → send → receive → close from inside the guest, recording
+    /// every result the guest thread is handed.
+    #[derive(Debug)]
+    struct GuestNet {
+        conn: Option<ConnId>,
+        seen: std::rc::Rc<std::cell::RefCell<Vec<ActionResult>>>,
+    }
+    impl ThreadBody for GuestNet {
+        fn next(&mut self, ctx: &mut ThreadCtx<'_>) -> Action {
+            if let ActionResult::Connected(c) = ctx.result {
+                self.conn = Some(c);
+            }
+            let mut seen = self.seen.borrow_mut();
+            if ctx.result != ActionResult::None {
+                seen.push(ctx.result.clone());
+            }
+            let conn = || self.conn.expect("connected");
+            Action::Net(match seen.len() {
+                0 => NetOp::Connect {
+                    remote: vgrid_os::RemoteHost::lan_source(),
+                },
+                1 => NetOp::Send {
+                    conn: conn(),
+                    bytes: 10_000,
+                },
+                2 => NetOp::Recv {
+                    conn: conn(),
+                    bytes: 70_000,
+                },
+                3 => NetOp::Close { conn: conn() },
+                _ => return Action::Exit,
+            })
+        }
+    }
+
+    #[test]
+    fn guest_net_ops_escape_to_host_in_order() {
+        let mut g = GuestVm::new(
+            GuestConfig::new(VmmProfile::vmplayer()).with_vnic(VnicMode::Nat),
+            &MachineSpec::core2_duo_6600(),
+        );
+        let seen = std::rc::Rc::default();
+        let body = GuestNet {
+            conn: None,
+            seen: std::rc::Rc::clone(&seen),
+        };
+        g.spawn("net", Box::new(body));
+        let mut host = SimTime::ZERO;
+        let mut escapes = Vec::new();
+        for _ in 0..200 {
+            match g.step(0, host) {
+                GuestStep::Compute(_) => {
+                    host += SimDuration::from_micros(50);
+                    g.complete_compute(0, host, SimDuration::MAX);
+                }
+                GuestStep::Net {
+                    op,
+                    guest_conn,
+                    overhead,
+                } => {
+                    // Until completed, the same escape is surfaced again.
+                    let GuestStep::Net { op: again, .. } = g.step(0, host) else {
+                        panic!("pending net escape not resurfaced")
+                    };
+                    assert_eq!(again, op);
+                    escapes.push((op, guest_conn, overhead));
+                    host += SimDuration::from_millis(1);
+                    g.complete_io(0, host);
+                }
+                GuestStep::Halted => break,
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert!(g.halted());
+        // The vNIC overhead is sized per frame: the handshake and the
+        // teardown are fixed, payloads take `frames_for(bytes)`.
+        assert_eq!((g.frames_for(10_000), g.frames_for(70_000)), (7, 48));
+        let vnic = |frames| {
+            g.profile()
+                .net_overhead_block(frames, VnicMode::Nat, g.ops_per_sec)
+        };
+        let c = ConnId(1);
+        let remote = vgrid_os::RemoteHost::lan_source();
+        assert_eq!(
+            escapes,
+            vec![
+                (NetOp::Connect { remote }, c, vnic(2)),
+                (
+                    NetOp::Send {
+                        conn: c,
+                        bytes: 10_000
+                    },
+                    c,
+                    vnic(7)
+                ),
+                (
+                    NetOp::Recv {
+                        conn: c,
+                        bytes: 70_000
+                    },
+                    c,
+                    vnic(48)
+                ),
+                (NetOp::Close { conn: c }, c, vnic(1)),
+            ]
+        );
+        assert!(escapes.iter().all(|(.., o)| o.counts.int_ops > 0));
+        assert_eq!(
+            *seen.borrow(),
+            vec![
+                ActionResult::Connected(c),
+                ActionResult::Sent { bytes: 10_000 },
+                ActionResult::Received { bytes: 70_000 },
+                ActionResult::NetClosed,
+            ]
+        );
     }
 
     #[test]

@@ -49,5 +49,5 @@ pub mod guest;
 pub mod profiles;
 
 pub use body::{Vm, VmConfig, VmHandle};
-pub use guest::{GuestConfig, GuestNetOp, GuestStep, GuestVm};
+pub use guest::{GuestConfig, GuestStep, GuestVm};
 pub use profiles::{VmmProfile, VnicMode};

@@ -14,7 +14,7 @@ use crate::kernel::Kernel;
 use std::cell::RefCell;
 use std::rc::Rc;
 use vgrid_machine::ops::OpBlock;
-use vgrid_os::{Action, ActionResult, FileId, ThreadBody, ThreadCtx};
+use vgrid_os::{Action, ActionResult, FileId, FileOp, ThreadBody, ThreadCtx};
 use vgrid_simcore::SimRng;
 
 /// In-place iterative radix-2 Cooley-Tukey FFT over interleaved
@@ -315,22 +315,22 @@ impl ThreadBody for EinsteinBody {
                         self.phase = Phase::WriteCkpt;
                         continue;
                     }
-                    return Action::FileOpen {
+                    return Action::File(FileOp::Open {
                         path: self.checkpoint_path.clone().expect("checked"),
                         create: true,
                         truncate: false,
                         direct: false,
-                    };
+                    });
                 }
                 Phase::WriteCkpt => {
                     if matches!(ctx.result, ActionResult::Wrote { .. }) {
                         self.phase = Phase::SyncCkpt;
                         continue;
                     }
-                    return Action::FileWrite {
+                    return Action::File(FileOp::Write {
                         file: self.file.expect("opened"),
                         bytes: self.checkpoint_bytes,
-                    };
+                    });
                 }
                 Phase::SyncCkpt => {
                     if ctx.result == ActionResult::Synced {
@@ -339,9 +339,9 @@ impl ThreadBody for EinsteinBody {
                         ctx.result = ActionResult::None;
                         return Action::Compute(self.block.clone());
                     }
-                    return Action::FileSync {
+                    return Action::File(FileOp::Sync {
                         file: self.file.expect("opened"),
-                    };
+                    });
                 }
             }
         }

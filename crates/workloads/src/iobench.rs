@@ -13,7 +13,7 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use vgrid_os::{Action, ActionResult, FileId, ThreadBody, ThreadCtx};
+use vgrid_os::{Action, ActionResult, FileId, FileOp, ThreadBody, ThreadCtx};
 use vgrid_simcore::SimTime;
 
 /// Chunk size for read/write syscalls.
@@ -149,12 +149,12 @@ impl ThreadBody for IoBenchBody {
                         self.write_started = Some(ctx.now);
                         continue;
                     }
-                    return Action::FileOpen {
+                    return Action::File(FileOp::Open {
                         path: self.path(),
                         create: true,
                         truncate: true,
                         direct: false,
-                    };
+                    });
                 }
                 Phase::Write => {
                     if self.moved >= self.size {
@@ -163,10 +163,10 @@ impl ThreadBody for IoBenchBody {
                     }
                     let n = CHUNK.min(self.size - self.moved);
                     self.moved += n;
-                    return Action::FileWrite {
+                    return Action::File(FileOp::Write {
                         file: self.file.expect("opened"),
                         bytes: n,
-                    };
+                    });
                 }
                 Phase::Sync => {
                     if ctx.result == ActionResult::Synced {
@@ -177,18 +177,18 @@ impl ThreadBody for IoBenchBody {
                         self.phase = Phase::DropCache;
                         continue;
                     }
-                    return Action::FileSync {
+                    return Action::File(FileOp::Sync {
                         file: self.file.expect("opened"),
-                    };
+                    });
                 }
                 Phase::DropCache => {
                     if ctx.result == ActionResult::CacheDropped {
                         self.phase = Phase::SeekStart;
                         continue;
                     }
-                    return Action::FileDropCache {
+                    return Action::File(FileOp::DropCache {
                         file: self.file.expect("opened"),
-                    };
+                    });
                 }
                 Phase::SeekStart => {
                     if ctx.result == ActionResult::Sought {
@@ -197,10 +197,10 @@ impl ThreadBody for IoBenchBody {
                         self.read_started = Some(ctx.now);
                         continue;
                     }
-                    return Action::FileSeek {
+                    return Action::File(FileOp::Seek {
                         file: self.file.expect("opened"),
                         pos: 0,
-                    };
+                    });
                 }
                 Phase::Read => {
                     if let ActionResult::Read { bytes } = ctx.result {
@@ -222,19 +222,19 @@ impl ThreadBody for IoBenchBody {
                     }
                     let n = CHUNK.min(self.size - self.moved);
                     self.moved += n;
-                    return Action::FileRead {
+                    return Action::File(FileOp::Read {
                         file: self.file.expect("opened"),
                         bytes: n,
-                    };
+                    });
                 }
                 Phase::Close => {
                     if ctx.result == ActionResult::Closed {
                         self.phase = Phase::Delete;
                         continue;
                     }
-                    return Action::FileClose {
+                    return Action::File(FileOp::Close {
                         file: self.file.expect("opened"),
-                    };
+                    });
                 }
                 Phase::Delete => {
                     if ctx.result == ActionResult::Deleted {
@@ -250,7 +250,7 @@ impl ThreadBody for IoBenchBody {
                         ctx.result = ActionResult::None;
                         continue;
                     }
-                    return Action::FileDelete { path: self.path() };
+                    return Action::File(FileOp::Delete { path: self.path() });
                 }
             }
         }

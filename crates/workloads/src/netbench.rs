@@ -3,7 +3,7 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use vgrid_os::{Action, ActionResult, ConnId, RemoteHost, ThreadBody, ThreadCtx};
+use vgrid_os::{Action, ActionResult, ConnId, NetOp, RemoteHost, ThreadBody, ThreadCtx};
 use vgrid_simcore::SimTime;
 
 /// Per-send chunk (iperf default buffer is 8-128 KB; 64 KB here).
@@ -88,9 +88,9 @@ impl ThreadBody for NetBenchBody {
                         self.started = Some(ctx.now);
                         continue;
                     }
-                    return Action::NetConnect {
+                    return Action::Net(NetOp::Connect {
                         remote: self.cfg.remote,
-                    };
+                    });
                 }
                 Phase::Send => {
                     if self.sent >= self.cfg.total_bytes {
@@ -107,18 +107,18 @@ impl ThreadBody for NetBenchBody {
                     }
                     let n = CHUNK.min(self.cfg.total_bytes - self.sent);
                     self.sent += n;
-                    return Action::NetSend {
+                    return Action::Net(NetOp::Send {
                         conn: self.conn.expect("connected"),
                         bytes: n,
-                    };
+                    });
                 }
                 Phase::Close => {
                     if ctx.result == ActionResult::NetClosed {
                         return Action::Exit;
                     }
-                    return Action::NetClose {
+                    return Action::Net(NetOp::Close {
                         conn: self.conn.expect("connected"),
-                    };
+                    });
                 }
             }
         }

@@ -6,9 +6,10 @@
 #
 # Runs the same gates as CI: formatting, lints (warnings are errors),
 # the determinism lint, the test suite for the default workspace
-# members, a fault-injection smoke run, the EXPERIMENTS.md byte-identity
-# check (zero churn must leave every figure untouched) and the fig1 run
-# manifest byte-identity check against the committed golden. The bench
+# members, a build of the perfbench tracer (an out-of-workspace consumer
+# of the public API), a fault-injection smoke run, the EXPERIMENTS.md
+# byte-identity check (zero churn must leave every figure untouched) and
+# the fig1 run manifest byte-identity check against the committed golden. The bench
 # crate and the in-repo criterion/proptest shims are outside the
 # default members and are exercised by `cargo build --workspace`.
 #
@@ -90,6 +91,14 @@ step "cargo build --workspace (includes bench crate + shims)" \
 
 step "cargo test (default members)" \
   cargo test -q
+
+# perfbench's in-process tracer is a separate workspace that imports the
+# public `vgrid` API (os actions, grid::wire); perfbench/run.py builds it
+# for every benchmark run, so an API change that breaks it must fail
+# here. `--locked` builds against its own committed lock file.
+step "perfbench tracer build (own workspace and lock file, offline)" \
+  cargo build -q --release --offline --locked \
+    --manifest-path perfbench/tracer/Cargo.toml --target-dir target
 
 step "grid-churn quick run (fault-injection smoke)" \
   churn_smoke

@@ -3,7 +3,7 @@
 //! assert on *how* results arise, not only on the numbers.
 
 use vgrid::machine::ops::OpBlock;
-use vgrid::os::{Action, Priority, System, SystemConfig, ThreadBody, ThreadCtx};
+use vgrid::os::{Action, FileOp, Priority, System, SystemConfig, ThreadBody, ThreadCtx};
 use vgrid::simcore::{SimDuration, SimTime, TraceCategory};
 use vgrid::vmm::{GuestConfig, GuestVm, Vm, VmConfig, VmmProfile, VnicMode};
 use vgrid::workloads::iobench::{IoBenchBody, IoBenchConfig};
@@ -165,12 +165,12 @@ fn guest_page_cache_absorbs_rereads() {
             match self.phase {
                 0 => {
                     self.phase = 1;
-                    Action::FileOpen {
+                    Action::File(FileOp::Open {
                         path: "/hot".into(),
                         create: true,
                         truncate: true,
                         direct: false,
-                    }
+                    })
                 }
                 1 => {
                     let ActionResult::Opened(id) = ctx.result else {
@@ -178,22 +178,22 @@ fn guest_page_cache_absorbs_rereads() {
                     };
                     self.file = Some(id);
                     self.phase = 2;
-                    Action::FileWrite {
+                    Action::File(FileOp::Write {
                         file: id,
                         bytes: 256 * 1024,
-                    }
+                    })
                 }
                 2..=11 => {
                     self.phase += 1;
                     let file = self.file.expect("opened");
                     // Seek + read loop, all from the guest cache.
                     if self.phase % 2 == 1 {
-                        Action::FileSeek { file, pos: 0 }
+                        Action::File(FileOp::Seek { file, pos: 0 })
                     } else {
-                        Action::FileRead {
+                        Action::File(FileOp::Read {
                             file,
                             bytes: 256 * 1024,
-                        }
+                        })
                     }
                 }
                 _ => Action::Exit,
