@@ -26,14 +26,15 @@
 use std::fmt;
 use std::sync::{Mutex, OnceLock};
 
-use crate::parallel::parallel_map;
 use crate::testbed::{install_einstein_vm, Fidelity, KernelLoop};
+use vgrid_grid::campaign::{metric_values, METRIC_NAMES};
 use vgrid_grid::{CampaignSpec, ChurnConfig, DeployConfig, PoolConfig, ProjectConfig, RunOptions};
 use vgrid_machine::ops::OpBlock;
 use vgrid_machine::MachineSpec;
 use vgrid_os::{Action, Priority, System, SystemConfig, ThreadBody, ThreadCtx};
 use vgrid_simcore::{
-    DetMap, EventLoopStats, OnlineStats, RepetitionRunner, SimDuration, SimTime, Summary, TraceSink,
+    fold_metrics, parallel_map, rep_seed, DetMap, EventLoopStats, SimDuration, SimTime, Summary,
+    TraceSink, DEFAULT_SEED,
 };
 use vgrid_simobs::fnv1a64;
 use vgrid_vmm::{GuestConfig, GuestVm, Vm, VmConfig, VmHandle, VmmProfile, VnicMode};
@@ -109,12 +110,8 @@ pub enum KernelSpec {
     },
     /// A volunteer-grid campaign (`vgrid-grid`); the deployment carries
     /// its own VM configuration, so [`Environment`] is ignored. Metrics
-    /// `validated_wus`, `efficiency`, `hosts_excluded_ram`,
-    /// `image_transfer_secs`, `migrations`, plus the churn-robustness
-    /// set `goodput`, `wasted_cpu_secs`, `reissues`,
-    /// `makespan_inflation`, `owner_preemptions`, `vm_kills`, and the
-    /// migration-policy set `evacuations`, `rescue_wins`,
-    /// `transfer_secs` (all zero when the policy is off).
+    /// are the campaign's own table, `vgrid_grid::campaign::METRIC_NAMES`
+    /// (`validated_wus` first).
     Campaign {
         /// Project parameters.
         project: ProjectConfig,
@@ -142,31 +139,10 @@ impl KernelSpec {
             KernelSpec::SevenZHost(_) => &["cpu_pct", "mips"],
             KernelSpec::Footprint => &["committed_mb"],
             KernelSpec::ClockLag { .. } => &["lag_secs", "loss_events"],
-            KernelSpec::Campaign { .. } => &[
-                "validated_wus",
-                "efficiency",
-                "hosts_excluded_ram",
-                "image_transfer_secs",
-                "migrations",
-                "goodput",
-                "wasted_cpu_secs",
-                "reissues",
-                "makespan_inflation",
-                "owner_preemptions",
-                "vm_kills",
-                "evacuations",
-                "rescue_wins",
-                "transfer_secs",
-            ],
+            KernelSpec::Campaign { .. } => METRIC_NAMES,
         }
     }
 }
-
-/// Base seed used when a spec does not set one; equals
-/// `RepetitionRunner`'s default so engine trials reproduce the legacy
-/// repetition sweeps bit for bit. Public because run manifests
-/// (`crate::obs`) record it as the run's seed stream anchor.
-pub const DEFAULT_BASE_SEED: u64 = 0xD0A1_57E5_7BED_5EED;
 
 /// A declarative experiment trial: kernel + environment + repetitions.
 #[derive(Debug, Clone)]
@@ -201,7 +177,7 @@ impl TrialSpec {
             kernel,
             machine: None,
             repetitions: 1,
-            base_seed: DEFAULT_BASE_SEED,
+            base_seed: DEFAULT_SEED,
             fidelity,
         }
     }
@@ -224,19 +200,11 @@ impl TrialSpec {
         self
     }
 
-    /// Seed of repetition `rep`. Single-shot trials use the base seed
-    /// verbatim (they pin one specific simulation, like the legacy
-    /// figure seeds); repeated trials derive independent per-repetition
-    /// streams from it.
+    /// Seed of repetition `rep` ([`rep_seed`]): single-shot trials use
+    /// the base seed verbatim, repeated trials derive independent
+    /// per-repetition streams from it.
     pub fn seed_for(&self, rep: u32) -> u64 {
-        if self.repetitions <= 1 {
-            self.base_seed
-        } else {
-            RepetitionRunner::new()
-                .repetitions(self.repetitions)
-                .base_seed(self.base_seed)
-                .seed_for(rep)
-        }
+        rep_seed(self.base_seed, self.repetitions, rep)
     }
 
     /// Cache identity: everything but the display label. The scheduler
@@ -401,8 +369,8 @@ impl Engine {
     }
 
     /// Run every spec under the engine's options, fanning all
-    /// repetitions of all uncached trials out over the scoped thread
-    /// pool.
+    /// repetitions of all uncached trials out over the bounded worker
+    /// pool ([`parallel_map`]).
     pub fn run_trials(&self, specs: &[TrialSpec]) -> Vec<TrialResult> {
         self.run_impl(specs, true)
     }
@@ -468,23 +436,12 @@ impl Engine {
         let mut cursor = 0;
         for &i in &todo {
             let spec = &specs[i];
-            let names = spec.kernel.metric_names();
-            let mut stats: Vec<OnlineStats> = names.iter().map(|_| OnlineStats::new()).collect();
-            for _ in 0..spec.repetitions.max(1) {
-                let values = &observations[cursor];
-                cursor += 1;
-                assert_eq!(values.len(), names.len(), "kernel metric arity");
-                for (s, v) in stats.iter_mut().zip(values) {
-                    s.push(*v);
-                }
-            }
+            let reps = spec.repetitions.max(1) as usize;
+            let rows = &observations[cursor..cursor + reps];
+            cursor += reps;
             let result = TrialResult {
                 label: spec.label.clone(),
-                metrics: names
-                    .iter()
-                    .zip(&stats)
-                    .map(|(n, s)| (*n, s.summary()))
-                    .collect(),
+                metrics: fold_metrics(spec.kernel.metric_names(), rows),
             };
             self.cache
                 .lock()
@@ -583,22 +540,7 @@ fn run_one(spec: &TrialSpec, seed: u64, options: &RunOptions) -> Vec<f64> {
                 .run_seq_with(options);
             let r = &result.reports()[0];
             crate::obs::observe_campaign_run(&spec.label, seed, r);
-            vec![
-                r.validated_wus as f64,
-                r.efficiency,
-                r.hosts_excluded_ram as f64,
-                r.image_transfer_secs,
-                r.migrations as f64,
-                r.goodput,
-                r.wasted_cpu_secs,
-                r.reissues as f64,
-                r.makespan_inflation,
-                r.owner_preemptions as f64,
-                r.vm_kills as f64,
-                r.evacuations as f64,
-                r.rescue_wins as f64,
-                r.transfer_secs,
-            ]
+            metric_values(r).to_vec()
         }
         KernelSpec::OpLoop { block, iters } => {
             let mut sys = system_for(spec, seed, options);
@@ -811,9 +753,8 @@ mod tests {
             Fidelity::Fast,
         )
         .repetitions(3);
-        let runner = RepetitionRunner::new().repetitions(3);
         for rep in 0..3 {
-            assert_eq!(spec.seed_for(rep), runner.seed_for(rep));
+            assert_eq!(spec.seed_for(rep), rep_seed(DEFAULT_SEED, 3, rep));
         }
         assert_ne!(spec.seed_for(0), spec.seed_for(1));
     }

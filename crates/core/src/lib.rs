@@ -28,13 +28,15 @@
 //!   tab-mem), plus ablations of the paper's prose claims and extension
 //!   experiments (grid deployment, guest-clock methodology).
 //! * [`engine`] — the unified experiment engine: declarative trial
-//!   specs, one parallel repetition path, cached shared baselines.
+//!   specs, cached shared baselines; repetitions fan out over
+//!   `vgrid_simcore::parallel_map`, the bounded pool grid campaigns
+//!   share.
 //! * [`obs`] — observability capture: merged metric snapshots,
 //!   Chrome-trace export and run manifests for `vgrid run/trace`.
-//! * [`testbed`] — fidelity levels and native/guest run helpers.
+//! * [`testbed`] — fidelity levels, the kernel-loop body and the
+//!   testbed host.
 //! * [`figures`] — result containers, ASCII rendering, JSON.
 //! * [`calibration`] — the paper-vs-measured comparison table.
-//! * [`parallel`] — deterministic scoped-thread repetition sweeps.
 
 #![forbid(unsafe_code)]
 
@@ -43,7 +45,6 @@ pub mod engine;
 pub mod experiments;
 pub mod figures;
 pub mod obs;
-pub mod parallel;
 pub mod testbed;
 
 pub use engine::{loop_totals, Engine, Environment, KernelSpec, TrialResult, TrialSpec};

@@ -19,13 +19,13 @@
 
 use std::sync::Mutex;
 
-use crate::engine::{Engine, DEFAULT_BASE_SEED};
+use crate::engine::Engine;
 use crate::experiments;
 use crate::figures::FigureResult;
 use crate::testbed::Fidelity;
 use vgrid_grid::GridReport;
 use vgrid_os::System;
-use vgrid_simcore::{SimTime, TraceEvent};
+use vgrid_simcore::{SimTime, TraceEvent, DEFAULT_SEED};
 use vgrid_simobs::manifest::config_digest;
 use vgrid_simobs::{ChromeTraceBuilder, MetricsRegistry, RunManifest};
 use vgrid_vmm::VmHandle;
@@ -256,7 +256,7 @@ pub fn run_observed_with(engine: &Engine, id: &str, fidelity: Fidelity) -> Optio
         experiment: id.to_string(),
         fidelity: fidelity_name(fidelity).to_string(),
         scheduler_mode: scheduler_mode_name(engine).to_string(),
-        seed: DEFAULT_BASE_SEED,
+        seed: DEFAULT_SEED,
         config_digest: config_digest(&cap.trial_keys),
         trials: cap.trial_labels,
         bench_links: bench_links(id),

@@ -1,5 +1,7 @@
 //! Shared experiment machinery: fidelity levels, the kernel-loop body,
-//! and native/guest run helpers.
+//! the testbed host and the background Einstein VM. Timing a kernel loop
+//! natively or in a guest is an engine trial
+//! ([`crate::engine::KernelSpec::OpLoop`]).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -95,41 +97,6 @@ pub fn host_system(seed: u64) -> System {
     System::new(SystemConfig::testbed(seed))
 }
 
-/// Wall seconds to run `block` x `iters` natively on an otherwise idle
-/// host.
-pub fn run_native_loop(block: &OpBlock, iters: u64, seed: u64) -> f64 {
-    let mut sys = host_system(seed);
-    let (body, span) = KernelLoop::new(block.clone(), iters);
-    sys.spawn("bench", Priority::Normal, Box::new(body));
-    assert!(
-        sys.run_to_completion(SimTime::from_secs(3600)),
-        "native loop did not finish"
-    );
-    let (t0, t1) = span.borrow().expect("loop finished");
-    t1.since(t0).as_secs_f64()
-}
-
-/// Wall seconds (measured from the host side, i.e. with the paper's
-/// external time reference) to run `block` x `iters` inside a guest of
-/// the given profile, on an otherwise idle host.
-pub fn run_guest_loop(profile: &VmmProfile, block: &OpBlock, iters: u64, seed: u64) -> f64 {
-    let mut sys = host_system(seed);
-    let mut guest = GuestVm::new(GuestConfig::new(profile.clone()), sys.machine());
-    let (body, span) = KernelLoop::new(block.clone(), iters);
-    guest.spawn("bench", Box::new(body));
-    let vm = Vm::install(
-        &mut sys,
-        VmConfig::new(format!("vm-{}", profile.name), Priority::Normal),
-        guest,
-    );
-    assert!(
-        vm.run_until_halted(&mut sys, SimTime::from_secs(3600)),
-        "guest loop did not finish"
-    );
-    let (t0, t1) = span.borrow().expect("loop finished");
-    t1.since(t0).as_secs_f64()
-}
-
 /// Install a VM running the Einstein@home surrogate at 100 % virtual CPU
 /// (the paper's host-impact workload), at the given host priority.
 pub fn install_einstein_vm(
@@ -190,6 +157,7 @@ pub fn fig4_environments() -> Vec<(String, VmmProfile, VnicMode)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Engine, Environment, KernelSpec, TrialSpec};
 
     #[test]
     fn fidelity_pick() {
@@ -198,19 +166,34 @@ mod tests {
         assert_eq!(Fidelity::Paper.repetitions(), 50);
     }
 
+    /// Wall seconds of `block` x `iters` in `env`, as a one-shot engine
+    /// trial with seed 1.
+    fn loop_secs(env: Environment, block: OpBlock, iters: u64) -> f64 {
+        let kernel = KernelSpec::OpLoop { block, iters };
+        Engine::new()
+            .run_trial(&TrialSpec::new("loop", env, kernel, Fidelity::Fast).seed(1))
+            .value()
+    }
+
     #[test]
     fn native_loop_timing_matches_block_estimate() {
         // 24M int ops = 4 ms at 6e9 ops/s; 10 iters = 40 ms.
-        let block = OpBlock::int_alu(24_000_000);
-        let wall = run_native_loop(&block, 10, 1);
+        let wall = loop_secs(Environment::Native, OpBlock::int_alu(24_000_000), 10);
         assert!((wall - 0.040).abs() < 0.002, "wall {wall}");
     }
 
     #[test]
     fn guest_loop_is_dilated_native_loop() {
         let block = OpBlock::int_alu(240_000_000); // 40 ms native
-        let native = run_native_loop(&block, 5, 1);
-        let guest = run_guest_loop(&VmmProfile::vmplayer(), &block, 5, 1);
+        let native = loop_secs(Environment::Native, block.clone(), 5);
+        let guest = loop_secs(
+            Environment::Guest {
+                profile: VmmProfile::vmplayer(),
+                vnic: None,
+            },
+            block,
+            5,
+        );
         let rel = guest / native;
         assert!((1.10..1.25).contains(&rel), "rel {rel}");
     }

@@ -4,10 +4,15 @@
 //! campaigns and machine-level trials read the same way: a builder
 //! assembles the configuration, `build()` validates it into a
 //! [`Campaign`] (returning [`Error`] instead of panicking mid-run), and
-//! `run_with(&options)` executes the repetitions — in parallel, with the
-//! same seeds and fold order as `run_seq_with` — into a
+//! `run_with(&options)` executes the repetitions into a
 //! [`CampaignResult`] whose `metric(name)` / `metric_names()` accessors
-//! match `TrialResult`.
+//! match `TrialResult`. Repetitions go through the same machinery as
+//! engine trials: seeds from `vgrid_simcore::rep_seed`, fan-out on the
+//! bounded `vgrid_simcore::parallel_map` pool (never more workers than
+//! cores, however many repetitions a spec asks for), and the ordered
+//! `vgrid_simcore::fold_metrics` over [`METRIC_NAMES`] /
+//! [`metric_values`] — the one campaign metric table, which the core
+//! engine's `Campaign` kernel reads too.
 //!
 //! ```
 //! use vgrid_grid::{CampaignSpec, ChurnConfig, PoolConfig, ProjectConfig, RunOptions};
@@ -28,11 +33,7 @@ use crate::faults::ChurnConfig;
 use crate::model::{DeployConfig, GridReport, PoolConfig, ProjectConfig};
 use crate::options::RunOptions;
 use crate::sim::run_campaign_substrate;
-use vgrid_simcore::{OnlineStats, RepetitionRunner, SimTime, Summary};
-
-/// Base seed used when the spec does not set one; matches the engine's
-/// default so unseeded campaigns and unseeded trials agree.
-pub const DEFAULT_SEED: u64 = 0xD0A1_57E5_7BED_5EED;
+use vgrid_simcore::{fold_metrics, parallel_map, rep_seed, SimTime, Summary, DEFAULT_SEED};
 
 /// Metric names exposed by [`CampaignResult`], in report order.
 pub const METRIC_NAMES: &[&str] = &[
@@ -57,7 +58,8 @@ pub const METRIC_NAMES: &[&str] = &[
     "transfer_secs",
 ];
 
-fn metric_values(r: &GridReport) -> [f64; 19] {
+/// One repetition's values for [`METRIC_NAMES`], in the same order.
+pub fn metric_values(r: &GridReport) -> [f64; 19] {
     [
         r.validated_wus as f64,
         r.efficiency,
@@ -264,19 +266,11 @@ impl Campaign {
         &self.spec
     }
 
-    /// Seed of repetition `rep` — single repetitions use the base seed
-    /// verbatim; multi-rep campaigns derive per-rep seeds exactly like
-    /// the core engine's `TrialSpec`.
+    /// Seed of repetition `rep` ([`rep_seed`]) — single repetitions use
+    /// the base seed verbatim; multi-rep campaigns derive per-rep seeds
+    /// exactly like the core engine's `TrialSpec`.
     pub fn seed_for(&self, rep: u32) -> u64 {
-        let reps = self.spec.repetitions.max(1);
-        if reps <= 1 {
-            self.spec.seed
-        } else {
-            RepetitionRunner::new()
-                .repetitions(reps)
-                .base_seed(self.spec.seed)
-                .seed_for(rep)
-        }
+        rep_seed(self.spec.seed, self.spec.repetitions, rep)
     }
 
     fn run_rep(&self, rep: u32, options: &RunOptions) -> GridReport {
@@ -291,24 +285,14 @@ impl Campaign {
         )
     }
 
-    /// Run all repetitions on scoped threads under explicit execution
-    /// options; statistics fold in repetition order, so the result is
-    /// bit-identical to [`Campaign::run_seq_with`]. Concurrent server
-    /// requests can differ in mode without touching process state.
+    /// Run all repetitions on the bounded worker pool under explicit
+    /// execution options; statistics fold in repetition order, so the
+    /// result is bit-identical to [`Campaign::run_seq_with`]. Concurrent
+    /// server requests can differ in mode without touching process
+    /// state.
     pub fn run_with(&self, options: &RunOptions) -> CampaignResult {
-        let reps = self.spec.repetitions.max(1);
-        if reps == 1 {
-            return self.run_seq_with(options);
-        }
-        let mut reports: Vec<Option<GridReport>> = (0..reps).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            for (rep, slot) in reports.iter_mut().enumerate() {
-                scope.spawn(move || {
-                    *slot = Some(self.run_rep(rep as u32, options));
-                });
-            }
-        });
-        self.fold(reports.into_iter().map(|r| r.expect("rep ran")).collect())
+        let reps = self.spec.repetitions.max(1) as usize;
+        self.fold(parallel_map(reps, |rep| self.run_rep(rep as u32, options)))
     }
 
     /// Sequential twin of [`Campaign::run_with`]: same seeds, same fold
@@ -319,20 +303,10 @@ impl Campaign {
     }
 
     fn fold(&self, reports: Vec<GridReport>) -> CampaignResult {
-        let mut stats: Vec<OnlineStats> = METRIC_NAMES.iter().map(|_| OnlineStats::new()).collect();
-        for report in &reports {
-            for (stat, value) in stats.iter_mut().zip(metric_values(report)) {
-                stat.push(value);
-            }
-        }
         CampaignResult {
             label: self.spec.label.clone(),
             mode: self.spec.deploy.mode.to_string(),
-            metrics: METRIC_NAMES
-                .iter()
-                .zip(stats)
-                .map(|(name, stat)| (*name, stat.summary()))
-                .collect(),
+            metrics: fold_metrics(METRIC_NAMES, reports.iter().map(metric_values)),
             reports,
         }
     }
@@ -459,6 +433,26 @@ mod tests {
             assert_eq!(a.mean.to_bits(), b.mean.to_bits(), "{name}");
             assert_eq!(a.stddev.to_bits(), b.stddev.to_bits(), "{name}");
         }
+    }
+
+    #[test]
+    fn more_reps_than_cores_fold_like_the_sequential_path() {
+        // The pool runs these on at most `available_parallelism()`
+        // workers; what it hands back must fold exactly like one thread.
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let reps = 2 * cores as u32 + 1;
+        let campaign = quick_spec()
+            .churn(ChurnConfig::intensity(1.0))
+            .seed(5)
+            .repetitions(reps)
+            .build()
+            .unwrap();
+        let par = campaign.run_with(&RunOptions::default());
+        let seq = campaign.run_seq_with(&RunOptions::default());
+        assert_eq!(par.reports().len(), reps as usize);
+        assert_eq!(par.reports(), seq.reports());
+        // `{:?}` prints each f64 in its shortest exact form.
+        assert_eq!(format!("{:?}", par.metrics), format!("{:?}", seq.metrics));
     }
 
     #[test]

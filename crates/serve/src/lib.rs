@@ -221,6 +221,7 @@ impl Server {
     /// answered or dropped without taking the server down.
     pub fn run(&self) -> io::Result<()> {
         let queue: FairQueue<Job> = FairQueue::new();
+        // simlint: allow(os-threads) -- a fixed pool of `--workers` threads, not one per request
         std::thread::scope(|s| {
             let queue = &queue;
             for _ in 0..self.workers {

@@ -155,6 +155,7 @@ mod tests {
     #[test]
     fn blocked_workers_wake_on_push_and_close() {
         let q = std::sync::Arc::new(FairQueue::new());
+        // simlint: allow(os-threads) -- test: three blocked poppers exercise the wakeup path
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..3)
                 .map(|_| {

@@ -4,9 +4,10 @@
 //! desktop-grid virtualization testbed.
 //!
 //! This crate provides the time base, event queue, deterministic random
-//! number generation and statistics toolkit that every other `vgrid` crate
-//! builds on. Nothing in here knows about CPUs, operating systems or
-//! virtual machines; it is a general-purpose, allocation-light DES kernel.
+//! number generation, statistics toolkit and the bounded repetition pool
+//! ([`parallel_map`]) that every other `vgrid` crate builds on. Nothing
+//! in here knows about CPUs, operating systems or virtual machines; it is
+//! a general-purpose, allocation-light DES kernel.
 //!
 //! ## Determinism contract
 //!
@@ -40,6 +41,7 @@ pub mod calendar;
 pub mod detmap;
 pub mod event;
 pub mod fault;
+pub mod pool;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -49,10 +51,11 @@ pub use calendar::CalendarQueue;
 pub use detmap::{DetMap, DetSet};
 pub use event::{EventQueue, EventQueueStats, EventScheduler, ScheduledEvent};
 pub use fault::FaultKind;
+pub use pool::parallel_map;
 pub use rng::SimRng;
 pub use stats::{
-    geometric_mean, percent_overhead, relative_slowdown, ConfidenceInterval, EventLoopStats,
-    OnlineStats, RepetitionRunner, Summary,
+    fold_metrics, geometric_mean, rep_seed, ConfidenceInterval, EventLoopStats, OnlineStats,
+    Summary, DEFAULT_SEED,
 };
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceCategory, TraceEvent, TraceSink};

@@ -3,8 +3,10 @@
 //! The paper repeats every measurement "at least 50 times" and reports
 //! means normalized against the native environment. This module provides
 //! the same machinery: online mean/variance accumulation (Welford),
-//! normal-approximation confidence intervals, and a repetition runner that
-//! executes a seeded experiment closure N times and summarizes.
+//! normal-approximation confidence intervals, and the repetition rules
+//! every sweep shares: one default seed ([`DEFAULT_SEED`]), one
+//! per-repetition seed function ([`rep_seed`]) and one per-metric fold
+//! ([`fold_metrics`]). The fan-out itself is [`crate::pool::parallel_map`].
 
 /// Welford online accumulator for mean and variance.
 #[derive(Debug, Clone, Default)]
@@ -256,86 +258,46 @@ impl Summary {
     }
 }
 
-/// Runs a seeded experiment closure a configurable number of times
-/// (default 50, matching the paper's methodology) and accumulates the
-/// scalar metric each run produces.
-///
-/// The closure receives the repetition index, from which it should derive
-/// its seed so that repetitions are independent but the whole sweep is
-/// reproducible.
-#[derive(Debug, Clone)]
-pub struct RepetitionRunner {
-    repetitions: u32,
-    base_seed: u64,
+/// Base seed used when a trial or campaign does not set one. Run
+/// manifests record it as the run's seed stream anchor.
+pub const DEFAULT_SEED: u64 = 0xD0A1_57E5_7BED_5EED;
+
+/// Seed of repetition `rep` out of `reps` derived from `base`. A
+/// single-repetition run uses `base` verbatim (it pins one specific
+/// simulation); repeated runs derive independent per-repetition streams
+/// with a SplitMix mix of the base seed and the repetition index, so a
+/// repetition's seed never depends on which thread ran it.
+pub fn rep_seed(base: u64, reps: u32, rep: u32) -> u64 {
+    if reps <= 1 {
+        return base;
+    }
+    let mut z = base.wrapping_add((rep as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
-impl Default for RepetitionRunner {
-    fn default() -> Self {
-        RepetitionRunner {
-            repetitions: 50,
-            base_seed: 0xD0A1_57E5_7BED_5EED,
+/// Fold per-repetition metric rows into one [`Summary`] per metric
+/// name, pushing rows in the order given (repetition order), so a
+/// parallel sweep whose rows are collected by index folds bit-identically
+/// to a sequential one. Every row must carry one value per name.
+pub fn fold_metrics<R: AsRef<[f64]>>(
+    names: &'static [&'static str],
+    rows: impl IntoIterator<Item = R>,
+) -> Vec<(&'static str, Summary)> {
+    let mut stats: Vec<OnlineStats> = names.iter().map(|_| OnlineStats::new()).collect();
+    for row in rows {
+        let row = row.as_ref();
+        assert_eq!(row.len(), names.len(), "metric row arity");
+        for (stat, &value) in stats.iter_mut().zip(row) {
+            stat.push(value);
         }
     }
-}
-
-impl RepetitionRunner {
-    /// Runner with the paper's default of 50 repetitions.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Set the repetition count (minimum 1).
-    pub fn repetitions(mut self, n: u32) -> Self {
-        self.repetitions = n.max(1);
-        self
-    }
-
-    /// Set the base seed mixed into every repetition's seed.
-    pub fn base_seed(mut self, seed: u64) -> Self {
-        self.base_seed = seed;
-        self
-    }
-
-    /// Number of repetitions configured.
-    pub fn count(&self) -> u32 {
-        self.repetitions
-    }
-
-    /// Seed for repetition `rep`.
-    pub fn seed_for(&self, rep: u32) -> u64 {
-        // SplitMix-style mix of base seed and repetition index.
-        let mut z = self
-            .base_seed
-            .wrapping_add((rep as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Run `f(seed)` for each repetition and summarize the returned metric.
-    pub fn run<F>(&self, mut f: F) -> Summary
-    where
-        F: FnMut(u64) -> f64,
-    {
-        let mut acc = OnlineStats::new();
-        for rep in 0..self.repetitions {
-            acc.push(f(self.seed_for(rep)));
-        }
-        acc.summary()
-    }
-}
-
-/// Normalize `measured` against `native`, as the paper's Figures 1-3 do:
-/// the result is the slowdown factor (1.0 = native speed, 2.0 = twice
-/// slower). `measured` and `native` are durations or inverse-throughputs.
-pub fn relative_slowdown(measured: f64, native: f64) -> f64 {
-    assert!(native > 0.0, "native reference must be positive");
-    measured / native
-}
-
-/// Percentage overhead, e.g. 0.15 slowdown -> 15.0.
-pub fn percent_overhead(slowdown: f64) -> f64 {
-    (slowdown - 1.0) * 100.0
+    names
+        .iter()
+        .zip(&stats)
+        .map(|(name, stat)| (*name, stat.summary()))
+        .collect()
 }
 
 /// Geometric mean, used by the NBench-style index computation.
@@ -437,19 +399,8 @@ mod tests {
     }
 
     #[test]
-    fn repetition_runner_is_deterministic() {
-        let runner = RepetitionRunner::new().repetitions(50);
-        let s1 = runner.run(|seed| (seed % 1000) as f64);
-        let s2 = runner.run(|seed| (seed % 1000) as f64);
-        assert_eq!(s1.n, 50);
-        assert_eq!(s1.mean, s2.mean);
-        assert_eq!(s1.stddev, s2.stddev);
-    }
-
-    #[test]
     fn repetition_seeds_are_distinct() {
-        let runner = RepetitionRunner::new().repetitions(50);
-        let mut seeds: Vec<u64> = (0..50).map(|r| runner.seed_for(r)).collect();
+        let mut seeds: Vec<u64> = (0..50).map(|r| rep_seed(DEFAULT_SEED, 50, r)).collect();
         // simlint: allow(unstable-sort) -- u64 keys are total; order of equals unobservable
         seeds.sort_unstable();
         seeds.dedup();
@@ -458,16 +409,7 @@ mod tests {
 
     #[test]
     fn different_base_seed_changes_streams() {
-        let a = RepetitionRunner::new().base_seed(1);
-        let b = RepetitionRunner::new().base_seed(2);
-        assert_ne!(a.seed_for(0), b.seed_for(0));
-    }
-
-    #[test]
-    fn normalization_helpers() {
-        assert_eq!(relative_slowdown(150.0, 100.0), 1.5);
-        assert!((percent_overhead(1.15) - 15.0).abs() < 1e-12);
-        assert!((percent_overhead(1.0)).abs() < 1e-12);
+        assert_ne!(rep_seed(1, 50, 0), rep_seed(2, 50, 0));
     }
 
     #[test]

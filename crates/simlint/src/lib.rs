@@ -15,6 +15,7 @@
 //! | `hash-collections`      | no `HashMap`/`HashSet` in sim crates (iteration-order entropy) |
 //! | `wall-clock`            | no `Instant::now`/`SystemTime` outside the criterion/timeref shims |
 //! | `ambient-entropy`       | no `thread_rng`/`OsRng`/`getrandom`/`from_entropy` outside `simcore::rng` |
+//! | `os-threads`            | no `thread::scope`/`thread::spawn` in sim crates outside `simcore`'s bounded pool |
 //! | `unstable-sort`         | no `sort_unstable*` without an explicit key-totality pragma   |
 //! | `substrate-collections` | no raw `BTreeMap`/`BTreeSet` in the grid host substrate       |
 //! | `stray-file`            | no unreferenced / non-`.rs` files under any `src/` directory  |
@@ -86,6 +87,10 @@ pub const WALL_CLOCK_SHIMS: &[&str] = &["criterion", "timeref"];
 /// simulation RNG.
 pub const ENTROPY_SHIM: &str = "crates/simcore/src/rng.rs";
 
+/// The one sim-crate file allowed to start OS threads: the bounded
+/// repetition pool, which never runs more workers than cores.
+pub const THREAD_POOL: &str = "crates/simcore/src/pool.rs";
+
 /// The grid host-substrate files, where per-host state must live in
 /// the deterministic wrappers (`DetMap`/`DetSet`) rather than raw
 /// B-tree collections, so the batched/hydrated equivalence contract
@@ -127,6 +132,8 @@ pub enum Rule {
     WallClock,
     /// Ambient entropy (`thread_rng` & co.) outside `simcore::rng`.
     AmbientEntropy,
+    /// `thread::scope`/`thread::spawn` in a sim crate outside the pool.
+    OsThreads,
     /// `sort_unstable*` without a key-totality pragma.
     UnstableSort,
     /// Raw `BTreeMap`/`BTreeSet` in the grid host substrate.
@@ -158,6 +165,7 @@ impl Rule {
             Rule::HashCollections => "hash-collections",
             Rule::WallClock => "wall-clock",
             Rule::AmbientEntropy => "ambient-entropy",
+            Rule::OsThreads => "os-threads",
             Rule::UnstableSort => "unstable-sort",
             Rule::SubstrateCollections => "substrate-collections",
             Rule::StrayFile => "stray-file",
@@ -179,6 +187,7 @@ impl Rule {
             "hash-collections" => Some(Rule::HashCollections),
             "wall-clock" => Some(Rule::WallClock),
             "ambient-entropy" => Some(Rule::AmbientEntropy),
+            "os-threads" => Some(Rule::OsThreads),
             "unstable-sort" => Some(Rule::UnstableSort),
             "substrate-collections" => Some(Rule::SubstrateCollections),
             "global-state-registry" => Some(Rule::GlobalStateRegistry),
@@ -196,6 +205,7 @@ impl Rule {
             Rule::HashCollections,
             Rule::WallClock,
             Rule::AmbientEntropy,
+            Rule::OsThreads,
             Rule::UnstableSort,
             Rule::SubstrateCollections,
             Rule::StrayFile,
@@ -215,6 +225,9 @@ impl Rule {
             Rule::HashCollections => "no HashMap/HashSet in sim crates",
             Rule::WallClock => "no Instant::now/SystemTime outside criterion/timeref",
             Rule::AmbientEntropy => "no thread_rng/OsRng/getrandom outside simcore::rng",
+            Rule::OsThreads => {
+                "no thread::scope/thread::spawn in sim crates outside simcore's pool"
+            }
             Rule::UnstableSort => "no sort_unstable* without a key-totality pragma",
             Rule::SubstrateCollections => "no raw BTreeMap/BTreeSet in the grid host substrate",
             Rule::StrayFile => "no unreferenced or non-.rs files under src/",
@@ -578,7 +591,8 @@ const WALL_CLOCK_MSG: &str = "host wall-clock reads are banned outside the crite
                               shims; simulated time comes from `vgrid_simcore::SimTime`";
 
 /// The single-token rules: hash-collections, wall-clock,
-/// ambient-entropy, unstable-sort and substrate-collections.
+/// ambient-entropy, os-threads, unstable-sort and
+/// substrate-collections.
 fn token_rules(p: &Prep, diags: &mut Vec<Diagnostic>) {
     let path = &p.file.path;
     let toks = &p.lexed.toks;
@@ -607,6 +621,21 @@ fn token_rules(p: &Prep, diags: &mut Vec<Diagnostic>) {
                  fork a seeded `SimRng` stream instead"
                     .into(),
             ),
+            "thread"
+                if in_sim_crate(path)
+                    && path != THREAD_POOL
+                    && is_punct(toks, i + 1, ':')
+                    && is_punct(toks, i + 2, ':')
+                    && matches!(ident_at(toks, i + 3), Some("scope" | "spawn")) =>
+            {
+                (
+                    Rule::OsThreads,
+                    "per-item OS threads are banned in sim crates: fan work out with \
+                     `vgrid_simcore::parallel_map`, which never starts more workers \
+                     than cores"
+                        .into(),
+                )
+            }
             s if s.starts_with("sort_unstable") => (
                 Rule::UnstableSort,
                 "`sort_unstable*` reorders equal keys; prove the key is total and \

@@ -127,6 +127,30 @@ fn ambient_entropy_pragma_suppresses() {
     assert!(diags.is_empty(), "unexpected: {diags:?}");
 }
 
+// ---- os-threads -------------------------------------------------------
+
+#[test]
+fn os_threads_fires_in_sim_crates_outside_the_pool() {
+    let src = "std::thread::scope(|s| {\n    s.spawn(|| ());\n});\nthread::spawn(|| ());\n";
+    let diags = lint_one("crates/grid/tests/fix.rs", src);
+    assert_eq!(rules_of(&diags), vec![Rule::OsThreads, Rule::OsThreads]);
+    assert_eq!((diags[0].line, diags[1].line), (1, 4));
+    // Neither the pool itself nor a non-sim crate fires.
+    let pool = lint_one("crates/simcore/src/pool.rs", src);
+    assert!(!rules_of(&pool).contains(&Rule::OsThreads), "{pool:?}");
+    assert!(lint_one("tests/fix.rs", src).is_empty());
+}
+
+#[test]
+fn os_threads_pragma_suppresses() {
+    let diags = lint_one(
+        "crates/serve/tests/fix.rs",
+        "// simlint: allow(os-threads) -- fixed worker count, not one per item\n\
+         std::thread::scope(|s| ());\n",
+    );
+    assert!(diags.is_empty(), "unexpected: {diags:?}");
+}
+
 // ---- unstable-sort ----------------------------------------------------
 
 #[test]

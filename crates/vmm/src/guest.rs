@@ -24,15 +24,17 @@
 //! The guest's file and network actions are decoded by the same `os`
 //! code the host uses ([`FileSystem::apply`], [`NetStack::apply`]); the
 //! guest kernel only decides how their plans are timed. A guest network
-//! op surfaces unchanged in [`GuestStep::Net`], so the vCPU re-issues the
-//! very same [`NetOp`] on the host stack after mapping the connection.
+//! op the guest stack accepts surfaces unchanged in [`GuestStep::Net`],
+//! so the vCPU re-issues the very same [`NetOp`] on the host stack after
+//! mapping the connection; one it rejects (stale connection, receive
+//! from a sink) fails in the guest with the error a native thread gets.
 
 use crate::profiles::{VmmProfile, VnicMode};
 use std::collections::VecDeque;
 use vgrid_machine::ops::OpBlock;
 use vgrid_machine::{CpuModel, DiskRequest, DiskRequestKind, MachineSpec};
 use vgrid_os::fs::{FileSystem, FsConfig, IoPlan};
-use vgrid_os::net::{NetConfig, NetStack};
+use vgrid_os::net::{NetConfig, NetPlan, NetStack};
 use vgrid_os::{Action, ActionResult, ConnId, NetOp, ThreadBody, ThreadCtx, ThreadId};
 use vgrid_simcore::{SimDuration, SimRng, SimTime};
 use vgrid_timeref::{GuestClock, GuestClockConfig};
@@ -453,9 +455,16 @@ impl GuestVm {
                     return None;
                 }
                 Action::Net(op) => {
-                    let plan = self.net.apply(op);
-                    let result = plan.result;
-                    self.install(idx, plan.cpu, GCont::Net { op, result });
+                    let NetPlan { cpu, result, .. } = self.net.apply(op);
+                    // An op the guest stack rejects fails in the guest,
+                    // like a file op; only a successful one reaches the
+                    // host's stack through the virtual NIC.
+                    let cont = if matches!(result, ActionResult::Err(_)) {
+                        GCont::Deliver(result)
+                    } else {
+                        GCont::Net { op, result }
+                    };
+                    self.install(idx, cpu, cont);
                     return None;
                 }
                 Action::Sleep(d) => {
@@ -929,6 +938,70 @@ mod tests {
                 ActionResult::NetClosed,
             ]
         );
+    }
+
+    /// Issues a fixed script of network ops, recording every result it
+    /// is handed.
+    #[derive(Debug)]
+    struct NetScript {
+        ops: std::vec::IntoIter<NetOp>,
+        seen: std::rc::Rc<std::cell::RefCell<Vec<ActionResult>>>,
+    }
+    impl ThreadBody for NetScript {
+        fn next(&mut self, ctx: &mut ThreadCtx<'_>) -> Action {
+            if ctx.result != ActionResult::None {
+                self.seen.borrow_mut().push(ctx.result.clone());
+            }
+            self.ops.next().map_or(Action::Exit, Action::Net)
+        }
+    }
+
+    #[test]
+    fn guest_net_errors_are_delivered_in_the_guest() {
+        use crate::body::{Vm, VmConfig};
+        use vgrid_os::{OsError, Priority, RemoteHost, System, SystemConfig};
+
+        // The guest stack rejects a send and a close on a never-opened
+        // handle `x` and a receive from the sink `c` (the first connect
+        // on either stack). Escaping them would panic the vCPU; the guest
+        // thread must get a native thread's errors and the VM must halt.
+        let (x, c) = (ConnId(99), ConnId(1));
+        let lan_sink = RemoteHost::lan_sink();
+        let run = |in_guest: bool| {
+            let seen = std::rc::Rc::default();
+            let ops = vec![
+                NetOp::Send { conn: x, bytes: 8 },
+                NetOp::Connect { remote: lan_sink },
+                NetOp::Recv { conn: c, bytes: 8 },
+                NetOp::Close { conn: x },
+                NetOp::Close { conn: c },
+            ];
+            let body = Box::new(NetScript {
+                ops: ops.into_iter(),
+                seen: std::rc::Rc::clone(&seen),
+            });
+            let mut sys = System::new(SystemConfig::testbed(7));
+            let deadline = SimTime::from_secs(60);
+            if in_guest {
+                let mut g = GuestVm::new(GuestConfig::new(VmmProfile::vmplayer()), sys.machine());
+                g.spawn("net", body);
+                let vm = Vm::install(&mut sys, VmConfig::new("vm", Priority::Normal), g);
+                assert!(vm.run_until_halted(&mut sys, deadline), "guest halts");
+            } else {
+                sys.spawn("net", Priority::Normal, body);
+                assert!(sys.run_to_completion(deadline), "native thread exits");
+            }
+            seen.take()
+        };
+        let expected = vec![
+            ActionResult::Err(OsError::BadHandle),
+            ActionResult::Connected(c),
+            ActionResult::Err(OsError::Invalid),
+            ActionResult::Err(OsError::BadHandle),
+            ActionResult::NetClosed,
+        ];
+        assert_eq!(run(false), expected, "native results");
+        assert_eq!(run(true), expected, "guest results");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! guest, and prints the slowdown — the single number behind the paper's
 //! Figure 1, reproduced end to end in a few seconds.
 
-use vgrid::core::testbed::{run_guest_loop, run_native_loop};
+use vgrid::core::{Engine, Environment, Fidelity, KernelSpec, TrialSpec};
 use vgrid::vmm::VmmProfile;
 use vgrid::workloads::sevenz::{SevenZConfig, SevenZKernel};
 
@@ -28,19 +28,30 @@ fn main() {
         kernel.ops_per_iter, cfg.corpus_len, kernel.packed_len
     );
 
-    // 2. Time it on the simulated native machine.
+    // 2. Time it on the simulated native machine: a one-shot engine
+    //    trial whose wall-time metric is the loop's span.
     let iters = 50;
-    let native = run_native_loop(&kernel.block, iters, 1);
+    let engine = Engine::new();
+    let time_loop = |env: Environment| {
+        let op_loop = KernelSpec::OpLoop {
+            block: kernel.block.clone(),
+            iters,
+        };
+        engine
+            .run_trial(&TrialSpec::new("7z", env, op_loop, Fidelity::Fast).seed(1))
+            .value()
+    };
+    let native = time_loop(Environment::Native);
     println!("native:        {native:.3} s for {iters} iterations");
 
     // 3. Time it inside each monitor's guest.
     for profile in VmmProfile::all() {
-        let guest = run_guest_loop(&profile, &kernel.block, iters, 1);
-        println!(
-            "{:<14} {guest:.3} s  ({:.2}x slower)",
-            profile.name,
-            guest / native
-        );
+        let name = profile.name;
+        let guest = time_loop(Environment::Guest {
+            profile,
+            vnic: None,
+        });
+        println!("{name:<14} {guest:.3} s  ({:.2}x slower)", guest / native);
     }
 
     println!();
